@@ -240,11 +240,13 @@ def _cmd_cv(args) -> int:
         result = cross_validate(data, grid, folds, n_jobs=args.threads)
     best = result.best_config
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
+    failed = sum(message is not None for message in result.messages)
     print(
         f"selected {best.estimator}: lambda={best.lam:.6g}"
         + (f", q={best.q}" if best.q is not None else "")
         + (f", tau={best.tau:.6g}" if best.estimator in ("wcr", "wls") else "")
-        + f" ({label} = {result.best_criterion:.6g} over {len(grid)} configurations)"
+        + f" ({label} = {result.best_criterion:.6g} over {len(grid)} configurations"
+        + (f", {failed} of {len(grid)} failed)" if failed else ")")
     )
     _fit_and_save(data, best, basis, args.out)
     print(f"wrote {args.out}")

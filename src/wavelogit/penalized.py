@@ -7,7 +7,8 @@ restricted to a reduced subspace omega = V_q @ gamma.
 - wnet: penalty only, solved by accelerated proximal gradient (monotone
   restart, backtracking step size).
 - wpcr / wpls: penalty plus subspace constraint, a generalized lasso in
-  gamma, solved by ADMM with Newton gamma-updates.
+  gamma, solved by residual-balanced, over-relaxed ADMM with Newton
+  gamma-updates.
 - wcr / wls: subspace constraint from a sparse reduction, no penalty,
   solved by IRLS on the reduced design.
 
@@ -35,6 +36,14 @@ from .reduce import (
 from .wavelet import WaveletBasis, dwt_inverse
 
 ESTIMATORS = ("wnet", "wcr", "wls", "wpcr", "wpls")
+
+# ADMM penalty adaptation (Boyd et al. 2011, Distributed Optimization and
+# Statistical Learning via ADMM, sections 3.4.1 and 3.4.3): rho is scaled by
+# _RHO_STEP whenever one residual exceeds _BALANCE_RATIO times the other, and
+# the z- and dual updates are over-relaxed with parameter _RELAXATION
+_BALANCE_RATIO = 10.0
+_RHO_STEP = 2.0
+_RELAXATION = 1.6
 
 
 @dataclass(frozen=True)
@@ -237,6 +246,8 @@ def fit_reduced_penalized(
 
     The splitting variable is z = D V_q gamma (the detail block of omega),
     so the l1 prox stays separable while gamma carries the likelihood.
+    rho adapts by residual balancing and the z- and dual updates are
+    over-relaxed; the stopping test is on the primal and dual residuals.
     """
     data.require_both_classes()
     _check_basis(data, basis)
@@ -247,6 +258,8 @@ def fit_reduced_penalized(
     # design in gamma space, with an intercept column
     design = np.column_stack([np.ones(n), data.theta @ basis.loadings])
     d_map = basis.loadings[detail]  # maps gamma to the penalized block
+    gram = d_map.T @ d_map
+    diag = np.arange(q + 1)
     rho = max(lam, 1.0)
 
     def objective(coef):
@@ -274,8 +287,8 @@ def fit_reduced_penalized(
                 break
             w = p * (1.0 - p)
             hess = (design * w[:, None]).T @ design
-            hess[1:, 1:] += rho * (d_map.T @ d_map)
-            hess[np.diag_indices_from(hess)] += 1e-10
+            hess[1:, 1:] += rho * gram
+            hess[diag, diag] += 1e-10
             step = np.linalg.solve(hess, grad)
             # dampen so the inner objective never increases
             cur = _nll_from_eta(eta, y) + 0.5 * rho * (resid_vec @ resid_vec)
@@ -289,17 +302,27 @@ def fit_reduced_penalized(
                 scale *= 0.5
             coef = coef - scale * step
         pen_block = d_map @ coef[1:]
-        z_new = soft_threshold(pen_block + dual, lam / rho)
+        # over-relaxation: the z- and dual updates see a blend of the new
+        # D gamma and the previous z
+        relaxed = _RELAXATION * pen_block + (1.0 - _RELAXATION) * z
+        z_new = soft_threshold(relaxed + dual, lam / rho)
         dual_res = rho * np.linalg.norm(d_map.T @ (z_new - z))
+        dual = dual + relaxed - z_new
         z = z_new
-        primal = pen_block - z
-        dual = dual + primal
-        primal_res = np.linalg.norm(primal)
+        primal_res = np.linalg.norm(pen_block - z)
         trace.append(min(best, objective(coef)))
         best = trace[-1]
         if primal_res <= eps_primal and dual_res <= eps_dual:
             converged = True
             break
+        # residual balancing; the scaled dual u = y / rho must follow rho,
+        # or the iteration stalls or settles away from the optimum
+        if primal_res > _BALANCE_RATIO * dual_res:
+            rho *= _RHO_STEP
+            dual /= _RHO_STEP
+        elif dual_res > _BALANCE_RATIO * primal_res:
+            rho /= _RHO_STEP
+            dual *= _RHO_STEP
     if not converged:
         raise ConvergenceError(
             f"ADMM did not converge in {config.max_iter} iterations "

@@ -64,6 +64,21 @@ class ReducedBasis:
     def d(self) -> int:
         return self.loadings.shape[0]
 
+    def leading(self, q: int) -> "ReducedBasis":
+        """The first q components.
+
+        PCA directions come from one SVD and PLS components are built in
+        sequence, so for those kinds this equals a fresh fit at q bit for bit.
+        """
+        if not 1 <= q <= self.q:
+            raise DataError(f"need 1 <= q <= {self.q}, got q={q}")
+        return ReducedBasis(
+            loadings=np.ascontiguousarray(self.loadings[:, :q]),
+            scores_scale=self.scores_scale[:q],
+            kind=self.kind,
+            center=self.center,
+        )
+
 
 def _check_q(theta: np.ndarray, q: int):
     n, d = theta.shape

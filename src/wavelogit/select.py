@@ -3,8 +3,8 @@
 Cross-validation scores each grid point by mean held-out AUC (or deviance)
 and refits the reduction inside every training fold, so no held-out
 information leaks into the fit.  The corrected-AIC path fits each grid
-point once on the full data and penalizes by the exact-nonzero parameter
-count.
+point once on the full data, slicing one shared PCA/PLS reduction per
+estimator, and penalizes by the exact-nonzero parameter count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from .exceptions import (
 )
 from .glm import LabeledCoefficients, link_logistic, neg_log_likelihood
 from .metrics import auc
-from .penalized import FitConfig, PenalizedSolution, fit_estimator, lambda_max
+from .penalized import (
+    FitConfig,
+    PenalizedSolution,
+    build_reduction,
+    fit_estimator,
+    lambda_max,
+)
 from .reduce import pca_fit, pls_fit
 
 CRITERION_CV_AUC = "cv_auc"
@@ -243,16 +249,41 @@ def aicc(solution: PenalizedSolution, data: LabeledCoefficients) -> float:
     return 2.0 * nll + 2.0 * k_eff + 2.0 * k_eff * (k_eff + 1) / (n - k_eff - 1)
 
 
+def _shared_reductions(data: LabeledCoefficients, grid) -> dict:
+    """One PCA/PLS reduction per wpcr/wpls estimator in the grid.
+
+    Each is built at the largest q of the grid that builds, so every
+    config with a smaller or equal q slices it instead of refitting; a
+    config with a larger q builds its own and fails as it would alone.
+    """
+    shared = {}
+    for estimator in ("wpcr", "wpls"):
+        for q in sorted({c.q for c in grid if c.estimator == estimator}, reverse=True):
+            try:
+                shared[estimator] = build_reduction(data, FitConfig(estimator=estimator, q=q))
+                break
+            except (DataError, NumericalError):
+                continue
+    return shared
+
+
 def select_by_aicc(data: LabeledCoefficients, grid) -> SelectionResult:
-    """Fit every config on the full data and pick the smallest corrected AIC."""
+    """Fit every config on the full data and pick the smallest corrected AIC.
+
+    wpcr/wpls configs share one reduction (see :func:`_shared_reductions`).
+    """
     grid = tuple(grid)
     if not grid:
         raise SelectionError("the configuration grid is empty")
     values = np.full(len(grid), np.nan)
     messages = [None] * len(grid)
+    shared = _shared_reductions(data, grid)
     for index, config in enumerate(grid):
+        basis = shared.get(config.estimator)
+        if basis is not None:
+            basis = basis.leading(config.q) if config.q <= basis.q else None
         try:
-            solution = fit_estimator(data, config)
+            solution = fit_estimator(data, config, basis=basis)
             values[index] = aicc(solution, data)
         except CriterionUndefinedError as exc:
             values[index] = np.inf

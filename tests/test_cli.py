@@ -77,6 +77,22 @@ class TestWorkflow:
         model = load_model(model_path)
         assert model.estimator == "wpcr" and model.loadings is not None
 
+    def test_cv_summary_counts_failed_points(self, tmp_path, capsys):
+        train, _ = simulate(tmp_path)
+        capsys.readouterr()
+        args = [
+            "cv", "--data", train, "--method", "wpcr", "--lambda-grid", "0.01",
+            "--j0", "2", "--select", "aicc", "--out", str(tmp_path / "m.json"),
+        ]
+        assert main(args + ["--q-grid", "1,2"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(" over 2 configurations)")
+        # q=500 exceeds the 40-curve training set: a DataError for that point only
+        assert main(args + ["--q-grid", "1,500"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("selected wpcr: lambda=0.01, q=1 (AICc = ")
+        assert line.endswith(" over 2 configurations, 1 of 2 failed)")
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")

@@ -21,7 +21,7 @@ from wavelogit.penalized import (
     lambda_max,
     soft_threshold,
 )
-from wavelogit.select import cross_validate, make_folds
+from wavelogit.select import cross_validate, default_lambda_grid, make_folds
 from wavelogit.wavelet import dwt_forward, make_basis
 
 
@@ -202,6 +202,74 @@ class TestReducedPenalized:
         b = fit_estimator(data, config)
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.gamma, b.gamma)
+
+
+def capped_instance():
+    """Seeded instance whose wpcr q=4 fits at grid points 7 and 8 of a
+    10-point default lambda grid ran a fixed-rho ADMM (rho = max(lam, 1))
+    into the 5000-iteration cap."""
+    data = random_instance(np.random.default_rng(21), 60, 32)
+    return data, default_lambda_grid(data, 10)
+
+
+def reduced_objective(data, basis, lam, coef):
+    """NLL plus lam * ||D V_q gamma||_1 at coef = (intercept, gamma)."""
+    eta = coef[0] + data.theta @ (basis.loadings @ coef[1:])
+    nll = float(np.sum(np.logaddexp(0.0, eta) - data.labels * eta))
+    return nll + lam * float(np.sum(np.abs(basis.loadings[data.n_scale :] @ coef[1:])))
+
+
+class TestReducedAdmmConvergence:
+    def test_formerly_capped_points_converge(self):
+        data, lams = capped_instance()
+        for lam in lams[7:9]:
+            config = FitConfig(estimator="wpcr", lam=lam, q=4)
+            sol = fit_estimator(data, config)
+            assert sol.iterations < config.max_iter
+            assert np.all(np.diff(sol.objective_trace) <= 0.0)
+
+    @staticmethod
+    def worst_decrease(data, estimator, lam):
+        """Largest objective decrease over steps of 1e-5 along every
+        +-coordinate and 50 seeded random unit directions from the fit."""
+        config = FitConfig(estimator=estimator, lam=lam, q=4)
+        basis = build_reduction(data, config)
+        sol = fit_estimator(data, config, basis=basis)
+        coef = np.concatenate([[sol.intercept], sol.gamma])
+        base = reduced_objective(data, basis, lam, coef)
+        eye = np.eye(coef.size)
+        random = np.random.default_rng(5).standard_normal((50, coef.size))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        moved = [
+            reduced_objective(data, basis, lam, coef + 1e-5 * direction)
+            for direction in np.vstack([eye, -eye, random])
+        ]
+        return base - min(moved), sol
+
+    @pytest.mark.parametrize("estimator", ["wpcr", "wpls"])
+    @pytest.mark.parametrize("point", ["small", "formerly_capped", "near_lambda_max"])
+    def test_no_descent_direction_at_solution(self, estimator, point):
+        """No direction lowers the objective by more than 1e-8.  A scaled
+        dual left unchanged (or rescaled the wrong way) when rho changes
+        stalls at the cap on the formerly capped point.  Grid point 7 and
+        lambda_max itself are left out: there the returned D V_q gamma sits
+        off the zero set of z by up to the primal residual, which the next
+        test bounds."""
+        data, lams = capped_instance()
+        lam = {"small": lams[1], "formerly_capped": lams[8], "near_lambda_max": 0.9 * lams[9]}
+        decrease, _ = self.worst_decrease(data, estimator, lam[point])
+        assert decrease <= 1e-8
+
+    @pytest.mark.parametrize("estimator", ["wpcr", "wpls"])
+    def test_descent_bounded_by_stopping_tolerance(self, estimator):
+        """On every grid point the decrease stays within the slack the
+        stopping test allows: D V_q gamma may sit up to the primal residual
+        off the zero set of z, worth lam * sqrt(m) * residual in penalty."""
+        data, lams = capped_instance()
+        m = data.d - data.n_scale
+        for lam in lams:
+            decrease, sol = self.worst_decrease(data, estimator, lam)
+            assert decrease <= 1e-8 + lam * np.sqrt(m) * sol.kkt_residual
 
 
 class TestReducedUnpenalized:

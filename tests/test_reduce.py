@@ -243,6 +243,34 @@ class TestReduceExpand:
             expand(basis, np.zeros(3))
 
 
+class TestLeading:
+    """Slicing a fit at q_max reproduces the fit at every smaller q bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["pca", "pls"])
+    def test_slice_equals_fresh_fit(self, kind):
+        rng = np.random.default_rng(31)
+        theta = rng.standard_normal((40, 24))
+        labels = planted_labels(rng, 40)
+
+        def fit(q):
+            return pca_fit(theta, q) if kind == "pca" else pls_fit(theta, labels, q)
+
+        full = fit(12)
+        for q in range(1, 13):
+            fresh, sliced = fit(q), full.leading(q)
+            assert sliced.kind == fresh.kind
+            assert np.array_equal(sliced.loadings, fresh.loadings)
+            assert np.array_equal(sliced.scores_scale, fresh.scores_scale)
+            assert np.array_equal(sliced.center, fresh.center)
+            assert sliced.loadings.flags.c_contiguous == fresh.loadings.flags.c_contiguous
+
+    def test_q_out_of_range(self):
+        basis = pca_fit(np.random.default_rng(32).standard_normal((10, 6)), 3)
+        for q in (0, 4):
+            with pytest.raises(DataError):
+                basis.leading(q)
+
+
 class TestReducedBasisValidation:
     def test_rejects_non_unit_columns(self):
         with pytest.raises(DataError):

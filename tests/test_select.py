@@ -280,6 +280,29 @@ class TestSelectByAicc:
             agree += abs(cv_idx - aicc_idx) <= 1
         assert agree >= 7
 
+    @pytest.mark.parametrize("estimator", ["wpcr", "wpls"])
+    def test_shared_reduction_matches_separate_fits(self, estimator):
+        """One reduction sliced per q gives every grid point exactly the
+        criterion of a fit that builds its own reduction."""
+        rng = np.random.default_rng(20)
+        data = planted_data(rng, 60)
+        grid = [FitConfig(estimator=estimator, lam=lam, q=q) for q in (4, 1, 2) for lam in (0.01, 0.3)]
+        result = select_by_aicc(data, grid)
+        for config, value in zip(grid, result.criteria):
+            assert value == aicc(fit_estimator(data, config), data)
+
+    def test_invalid_q_fails_alone(self):
+        """A q beyond the data's rank fails with its own message; the
+        smaller q still use the shared reduction."""
+        rng = np.random.default_rng(21)
+        data = planted_data(rng, 30)
+        grid = [FitConfig(estimator="wpcr", lam=0.05, q=q) for q in (2, 100)]
+        result = select_by_aicc(data, grid)
+        assert result.messages[0] is None
+        assert result.criteria[0] == aicc(fit_estimator(data, grid[0]), data)
+        assert result.messages[1].startswith("DataError: q=100 outside valid range")
+        assert result.best_index == 0
+
     def test_all_undefined_raises(self):
         rng = np.random.default_rng(17)
         data = planted_data(rng, 6, d=16)
