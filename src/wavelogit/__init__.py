@@ -46,14 +46,12 @@ from .penalized import (
     ESTIMATORS,
     FitConfig,
     PenalizedSolution,
-    beta_estimate,
     build_reduction,
     fit_estimator,
     fit_wnet,
     lambda_max,
-    soft_threshold,
 )
-from .reduce import ReducedBasis, expand, pca_fit, pls_fit, reduce, sparse_component_fit
+from .reduce import ReducedBasis, pca_fit, pls_fit, soft_threshold, sparse_component_fit
 from .select import (
     FoldPlan,
     SelectionResult,
@@ -108,7 +106,6 @@ __all__ = [
     "WavelogitError",
     "aicc",
     "auc",
-    "beta_estimate",
     "build_reduction",
     "coefficient_levels",
     "cross_validate",
@@ -119,7 +116,6 @@ __all__ = [
     "discrimination_verdict",
     "dwt_forward",
     "dwt_inverse",
-    "expand",
     "export_beta",
     "fit_estimator",
     "fit_wnet",
@@ -138,7 +134,6 @@ __all__ = [
     "nll_gradient",
     "pca_fit",
     "pls_fit",
-    "reduce",
     "roc_curve",
     "save_dataset",
     "save_model",

@@ -1,8 +1,8 @@
 """Command-line driver: simulate, fit, cv, predict, evaluate, export-beta.
 
 Exit codes: 0 success, 1 usage error, 2 data/file error, 3 numerical
-failure. All randomness is controlled by --seed; outputs are deterministic
-given identical inputs and flags.
+failure. All randomness is controlled by --seed (simulate, cv); outputs are
+deterministic given identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dataio import (
 from .exceptions import DataError, NumericalError
 from .metrics import auc, discrimination_verdict
 from .model import model_from_fit
-from .penalized import ESTIMATORS, FitConfig, build_reduction, fit_estimator
+from .penalized import ESTIMATORS, FitConfig, fit_estimator
 from .select import (
     cross_validate,
     default_lambda_grid,
@@ -95,7 +95,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float, default=0.0, help="loading threshold (wcr/wls)")
     _add_wavelet_flags(p)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("cv", help="select tuning parameters, then fit and save")
     p.add_argument("--data", required=True, help="training CSV")
@@ -145,6 +144,10 @@ def _cmd_simulate(args) -> int:
         support, effects = DEFAULT_SUPPORT, DEFAULT_EFFECTS
     n_train = args.n_per_class
     n_test = args.n_test_per_class if args.test_out else 0
+    if n_train < 1 or n_test < 0:
+        raise DataError(
+            f"need --n-per-class >= 1 and --n-test-per-class >= 0, got {n_train} and {n_test}"
+        )
     spec = SynthSpec(
         n_per_class=n_train + n_test,
         basis=basis,
@@ -173,10 +176,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _fit_and_save(data, config, basis, out_path):
-    reduction = build_reduction(data, config)
-    solution = fit_estimator(data, config, basis=reduction)
-    model = model_from_fit(solution, config, basis, reduction)
-    save_model(model, out_path)
+    solution = fit_estimator(data, config)
+    save_model(model_from_fit(solution, config, basis), out_path)
     return solution
 
 
@@ -184,9 +185,7 @@ def _cmd_fit(args) -> int:
     dataset = load_dataset(args.data)
     basis = make_basis(args.wavelet, args.j0, dataset.d)
     data = to_coefficients(dataset, basis)
-    config = FitConfig(
-        estimator=args.method, lam=args.lam, q=args.q, tau=args.tau, seed=args.seed
-    )
+    config = FitConfig(estimator=args.method, lam=args.lam, q=args.q, tau=args.tau)
     solution = _fit_and_save(data, config, basis, args.out)
     print(
         f"fit {args.method}: {solution.nonzero_detail_count} nonzero detail "
@@ -204,16 +203,14 @@ def _build_grid(args, data) -> list:
     else:
         lam_grid = tuple(default_lambda_grid(data, args.n_lambda))
     if method == "wnet":
-        return [FitConfig(estimator=method, lam=lam, seed=args.seed) for lam in lam_grid]
+        return [FitConfig(estimator=method, lam=lam) for lam in lam_grid]
     if args.q_grid is not None:
         q_grid = _comma_list(args.q_grid, int, "--q-grid")
     else:
         q_grid = default_q_grid(data.n, data.d)
     if method in ("wpcr", "wpls"):
         return [
-            FitConfig(estimator=method, lam=lam, q=q, seed=args.seed)
-            for q in q_grid
-            for lam in lam_grid
+            FitConfig(estimator=method, lam=lam, q=q) for q in q_grid for lam in lam_grid
         ]
     grid = []
     for q in q_grid:
@@ -221,10 +218,7 @@ def _build_grid(args, data) -> list:
             tau_grid = _comma_list(args.tau_grid, float, "--tau-grid")
         else:
             tau_grid = default_tau_grid(data, method, q)
-        grid.extend(
-            FitConfig(estimator=method, lam=0.0, q=q, tau=tau, seed=args.seed)
-            for tau in tau_grid
-        )
+        grid.extend(FitConfig(estimator=method, lam=0.0, q=q, tau=tau) for tau in tau_grid)
     return grid
 
 

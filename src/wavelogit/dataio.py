@@ -19,7 +19,9 @@ from .glm import LabeledCoefficients
 from .model import FittedModel
 from .wavelet import WaveletBasis, dwt_forward
 
-MODEL_FORMAT_VERSION = 1
+# version 1 files also hold a reduced fit's "center" and "loadings"; loading
+# still reads them and ignores those two keys
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ def load_dataset(path: str) -> CurveDataset:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file {path} is not UTF-8 text: {exc}") from None
     if not lines:
         raise ParseError(path, 1, "file is empty")
     header = lines[0].split(",")
@@ -133,7 +137,7 @@ def _floats_out(values) -> list:
 def _floats_in(values, shape, field):
     try:
         arr = np.array([float(v) for v in values], dtype=float).reshape(shape)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"model field {field!r} is corrupted: {exc}") from None
     return arr
 
@@ -156,8 +160,6 @@ def save_model(model: FittedModel, path: str):
         "tau": _fmt(model.tau),
         "intercept": _fmt(model.intercept),
         "omega": _floats_out(model.omega),
-        "center": None if model.center is None else _floats_out(model.center),
-        "loadings": None if model.loadings is None else _floats_out(model.loadings),
         "kkt_residual": _fmt(model.kkt_residual),
         "iterations": model.iterations,
     }
@@ -171,26 +173,25 @@ def _require_field(doc: dict, key: str):
 
 
 def load_model(path: str) -> FittedModel:
-    """Load a model document, checking its format version."""
+    """Load a model document of any readable format version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"model file {path} is not UTF-8 text: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFileError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFileError(f"model file {path} must hold a JSON object")
     version = _require_field(doc, "format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ModelFileError(
             f"model file {path} has format_version {version}; "
-            f"this build reads version {MODEL_FORMAT_VERSION}"
+            f"this build reads versions 1 and {MODEL_FORMAT_VERSION}"
         )
     d = _require_field(doc, "d")
-    q = _require_field(doc, "q")
-    raw_center = _require_field(doc, "center")
-    raw_loadings = _require_field(doc, "loadings")
     try:
         return FittedModel(
             estimator=_require_field(doc, "estimator"),
@@ -198,18 +199,16 @@ def load_model(path: str) -> FittedModel:
             j0=_require_field(doc, "j0"),
             d=d,
             lam=float(_require_field(doc, "lambda")),
-            q=q,
+            q=_require_field(doc, "q"),
             tau=float(_require_field(doc, "tau")),
             intercept=float(_require_field(doc, "intercept")),
             omega=_floats_in(_require_field(doc, "omega"), (d,), "omega"),
-            center=None if raw_center is None else _floats_in(raw_center, (d,), "center"),
-            loadings=None if raw_loadings is None else _floats_in(raw_loadings, (d, q), "loadings"),
             kkt_residual=float(_require_field(doc, "kkt_residual")),
             iterations=_require_field(doc, "iterations"),
         )
     except (DataError, ModelFileError):
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"model file {path} is corrupted: {exc}") from None
 
 

@@ -1,9 +1,9 @@
 """Fitted-model artifact: coefficients, provenance, and prediction.
 
 A FittedModel bundles everything needed to score new curves: the wavelet
-basis parameters, the coefficient vector omega with its intercept, the
-tuning parameters that produced them, and, when a reduction was used, the
-component loadings and centering vector for inspection.
+basis parameters, the coefficient vector omega with its intercept, and the
+tuning parameters that produced them.  A reduced fit's omega already
+carries its components (omega = V_q @ gamma), so the reduction is not kept.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 from .exceptions import DataError, DimensionError
 from .glm import link_logistic
 from .penalized import ESTIMATORS, FitConfig, PenalizedSolution
-from .reduce import ReducedBasis
-from .wavelet import FILTERS, WaveletBasis, dwt_forward, dwt_inverse, make_basis
+from .wavelet import WaveletBasis, dwt_forward, dwt_inverse, make_basis
 
 
 @dataclass(frozen=True)
@@ -32,35 +31,20 @@ class FittedModel:
     tau: float
     intercept: float
     omega: np.ndarray
-    center: np.ndarray | None
-    loadings: np.ndarray | None
     kkt_residual: float
     iterations: int
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise DataError(f"unknown estimator {self.estimator!r} (choose from {ESTIMATORS})")
-        if self.family not in FILTERS:
-            raise DataError(f"unknown wavelet family {self.family!r}")
+        # a family, j0 or d that cannot score curves fails here, not at predict
+        self.wavelet_basis()
         omega = np.ascontiguousarray(np.asarray(self.omega, dtype=float))
         object.__setattr__(self, "omega", omega)
         if omega.shape != (self.d,):
             raise DimensionError(f"omega has shape {omega.shape}, expected ({self.d},)")
         if not np.all(np.isfinite(omega)) or not np.isfinite(self.intercept):
             raise DataError("model coefficients must be finite")
-        if (self.center is None) != (self.loadings is None):
-            raise DataError("center and loadings must be stored together or not at all")
-        if self.loadings is not None:
-            loadings = np.ascontiguousarray(np.asarray(self.loadings, dtype=float))
-            center = np.ascontiguousarray(np.asarray(self.center, dtype=float))
-            object.__setattr__(self, "loadings", loadings)
-            object.__setattr__(self, "center", center)
-            if self.q is None or loadings.shape != (self.d, self.q):
-                raise DimensionError(
-                    f"loadings have shape {loadings.shape}, expected ({self.d}, {self.q})"
-                )
-            if center.shape != (self.d,):
-                raise DimensionError(f"center has shape {center.shape}, expected ({self.d},)")
 
     def wavelet_basis(self) -> WaveletBasis:
         return make_basis(self.family, self.j0, self.d)
@@ -76,10 +60,7 @@ class FittedModel:
 
 
 def model_from_fit(
-    solution: PenalizedSolution,
-    config: FitConfig,
-    basis: WaveletBasis,
-    reduction: ReducedBasis | None = None,
+    solution: PenalizedSolution, config: FitConfig, basis: WaveletBasis
 ) -> FittedModel:
     """Package a solver result and its provenance into a FittedModel."""
     return FittedModel(
@@ -92,8 +73,6 @@ def model_from_fit(
         tau=config.tau,
         intercept=solution.intercept,
         omega=solution.omega,
-        center=None if reduction is None else reduction.center,
-        loadings=None if reduction is None else reduction.loadings,
         kkt_residual=solution.kkt_residual,
         iterations=solution.iterations,
     )

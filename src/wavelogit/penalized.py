@@ -25,15 +25,14 @@ import numpy as np
 from .exceptions import ConvergenceError, DataError, DimensionError, NumericalError
 from .glm import LabeledCoefficients, LinearModelState, _irls_core, _nll_from_eta, link_logistic
 from .reduce import (
-    KIND_PCA,
     KIND_SPARSE_PCA,
     KIND_SPARSE_PLS,
     ReducedBasis,
     pca_fit,
     pls_fit,
+    soft_threshold,
     sparse_component_fit,
 )
-from .wavelet import WaveletBasis, dwt_inverse
 
 ESTIMATORS = ("wnet", "wcr", "wls", "wpcr", "wpls")
 
@@ -48,7 +47,13 @@ _RELAXATION = 1.6
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimator choice plus its tuning parameters and solver tolerances."""
+    """Estimator choice plus its tuning parameters and solver limits.
+
+    ``tol`` (relative objective change) governs ``wnet`` only: the ADMM of
+    ``wpcr``/``wpls`` stops on fixed primal and dual residual thresholds,
+    and the IRLS of ``wcr``/``wls`` uses its own tolerance and cap.
+    ``max_iter`` caps ``wnet`` and the ADMM.
+    """
 
     estimator: str
     lam: float = 0.0
@@ -56,11 +61,12 @@ class FitConfig:
     tau: float = 0.0
     tol: float = 1e-7
     max_iter: int = 5000
-    seed: int = 0
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise DataError(f"unknown estimator {self.estimator!r} (choose from {ESTIMATORS})")
+        if not (np.isfinite(self.lam) and np.isfinite(self.tau)):
+            raise DataError(f"lam and tau must be finite, got lam={self.lam}, tau={self.tau}")
         if self.lam < 0:
             raise DataError(f"penalty level must be >= 0, got {self.lam}")
         if self.estimator != "wnet" and (self.q is None or self.q < 1):
@@ -83,15 +89,6 @@ class PenalizedSolution:
 
     def state(self) -> LinearModelState:
         return LinearModelState(omega=self.omega, intercept=self.intercept)
-
-
-def soft_threshold(z, t):
-    """sign(z) * max(|z| - t, 0); exact zeros inside the threshold."""
-    if t < 0:
-        raise DataError(f"threshold must be >= 0, got {t}")
-    z = np.asarray(z, dtype=float)
-    out = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def _detail_mask(data: LabeledCoefficients) -> np.ndarray:
@@ -373,15 +370,6 @@ def fit_reduced_unpenalized(
         nonzero_detail_count=int(np.count_nonzero(omega[detail])),
         iterations=iterations,
     )
-
-
-def beta_estimate(solution: PenalizedSolution, basis: WaveletBasis) -> np.ndarray:
-    """The fitted discriminant function sampled on the time grid."""
-    if solution.omega.shape[0] != basis.d:
-        raise DimensionError(
-            f"solution has {solution.omega.shape[0]} coefficients, basis expects d={basis.d}"
-        )
-    return dwt_inverse(solution.omega, basis)
 
 
 def build_reduction(data: LabeledCoefficients, config: FitConfig) -> ReducedBasis | None:

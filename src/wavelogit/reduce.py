@@ -96,8 +96,13 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _soft(z: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+def soft_threshold(z, t):
+    """sign(z) * max(|z| - t, 0); exact zeros inside the threshold."""
+    if t < 0:
+        raise DataError(f"threshold must be >= 0, got {t}")
+    z = np.asarray(z, dtype=float)
+    out = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def pca_fit(theta, q: int) -> ReducedBasis:
@@ -161,7 +166,7 @@ def _threshold_direction(raw: np.ndarray, tau: float, k: int) -> np.ndarray:
         raise SparsityError(
             f"component {k + 1} target direction is zero", component_index=k
         )
-    target = _soft(raw / norm, tau)
+    target = soft_threshold(raw / norm, tau)
     t_norm = np.linalg.norm(target)
     if t_norm == 0.0:
         raise SparsityError(
@@ -234,18 +239,3 @@ def sparse_component_fit(theta, labels, q: int, sparsity: float, kind: str) -> R
             residual = _deflate_by_scores(residual, scores)
     return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=kind, center=center)
 
-
-def reduce(basis: ReducedBasis, theta_row) -> np.ndarray:
-    """Project one row (or a stack of rows) onto the components: V_q^T (theta - center)."""
-    theta_row = np.asarray(theta_row, dtype=float)
-    if theta_row.shape[-1] != basis.d:
-        raise DimensionError(f"expected vectors of length {basis.d}, got {theta_row.shape[-1]}")
-    return (theta_row - basis.center) @ basis.loadings
-
-
-def expand(basis: ReducedBasis, gamma) -> np.ndarray:
-    """Map component coordinates back to coefficient space: V_q @ gamma (no center)."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape[-1] != basis.q:
-        raise DimensionError(f"expected gamma of length {basis.q}, got {gamma.shape[-1]}")
-    return gamma @ basis.loadings.T

@@ -1,8 +1,8 @@
 """Tuning-parameter selection: stratified k-fold CV and corrected AIC.
 
-Cross-validation scores each grid point by mean held-out AUC (or deviance)
-and refits the reduction inside every training fold, so no held-out
-information leaks into the fit.  The corrected-AIC path fits each grid
+Cross-validation scores each grid point by mean held-out AUC and refits
+the reduction inside every training fold, so no held-out information
+leaks into the fit.  The corrected-AIC path fits each grid
 point once on the full data, slicing one shared PCA/PLS reduction per
 estimator, and penalizes by the exact-nonzero parameter count.
 """
@@ -33,7 +33,6 @@ from .penalized import (
 from .reduce import pca_fit, pls_fit
 
 CRITERION_CV_AUC = "cv_auc"
-CRITERION_CV_DEVIANCE = "cv_deviance"
 CRITERION_AICC = "aicc"
 
 
@@ -43,7 +42,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=int)
@@ -86,7 +84,7 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
             assignments[idx] = fold
             counts[fold] += 1
             sizes[fold] += 1
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 @dataclass(frozen=True)
@@ -98,23 +96,10 @@ class SelectionResult:
     criteria: np.ndarray
     messages: tuple
     best_index: int
-    fold_fits: tuple | None = None
 
     @property
     def best_config(self) -> FitConfig:
         return self.configs[self.best_index]
-
-    @property
-    def best_lambda(self) -> float:
-        return self.best_config.lam
-
-    @property
-    def best_q(self) -> int | None:
-        return self.best_config.q
-
-    @property
-    def best_tau(self) -> float:
-        return self.best_config.tau
 
     @property
     def best_criterion(self) -> float:
@@ -153,10 +138,9 @@ def _select_best(values: np.ndarray, configs, maximize: bool) -> int:
     return min(candidates, key=lambda i: _tie_break_key(configs[i], i))
 
 
-def _cv_point(data: LabeledCoefficients, config: FitConfig, folds: FoldPlan, criterion: str):
-    """Fit one grid point across all folds; returns (value, fold solutions)."""
+def _cv_point(data: LabeledCoefficients, config: FitConfig, folds: FoldPlan) -> float:
+    """Fit one grid point across all folds; returns the mean held-out AUC."""
     scores = []
-    solutions = []
     for fold in range(folds.k):
         train, test = folds.split(fold)
         train_data = LabeledCoefficients(
@@ -164,68 +148,50 @@ def _cv_point(data: LabeledCoefficients, config: FitConfig, folds: FoldPlan, cri
         )
         solution = fit_estimator(train_data, config)
         eta = data.theta[test] @ solution.omega + solution.intercept
-        if criterion == CRITERION_CV_AUC:
-            scores.append(auc(link_logistic(eta), data.labels[test]))
-        else:
-            held = LabeledCoefficients(
-                theta=data.theta[test], labels=data.labels[test], j0=data.j0, d=data.d
-            )
-            scores.append(2.0 * neg_log_likelihood(solution.state(), held))
-        solutions.append(solution)
-    return float(np.mean(scores)), tuple(solutions)
+        scores.append(auc(link_logistic(eta), data.labels[test]))
+    return float(np.mean(scores))
 
 
 def _cv_worker(args):
-    index, data, config, folds, criterion = args
+    index, data, config, folds = args
     try:
-        value, solutions = _cv_point(data, config, folds, criterion)
-        return index, value, solutions, None
+        return index, _cv_point(data, config, folds), None
     except (DataError, NumericalError) as exc:
-        return index, np.nan, None, f"{type(exc).__name__}: {exc}"
+        return index, np.nan, f"{type(exc).__name__}: {exc}"
 
 
 def cross_validate(
-    data: LabeledCoefficients,
-    grid,
-    folds: FoldPlan,
-    criterion: str = CRITERION_CV_AUC,
-    n_jobs: int = 1,
+    data: LabeledCoefficients, grid, folds: FoldPlan, n_jobs: int = 1
 ) -> SelectionResult:
-    """Score every config by k-fold held-out criterion and pick the winner.
+    """Score every config by k-fold held-out AUC and pick the largest.
 
-    AUC is maximized, deviance minimized.  Grid points whose fit fails on
-    any fold are excluded; ties go to the sparser model (larger lambda,
-    then smaller q).
+    Grid points whose fit fails on any fold are excluded; ties go to the
+    sparser model (larger lambda, then smaller q).
     """
     grid = tuple(grid)
     if not grid:
         raise SelectionError("the configuration grid is empty")
-    if criterion not in (CRITERION_CV_AUC, CRITERION_CV_DEVIANCE):
-        raise DataError(f"unknown CV criterion {criterion!r}")
     if folds.assignments.size != data.n:
         raise DataError("fold plan was built for a different number of observations")
     values = np.full(len(grid), np.nan)
     messages = [None] * len(grid)
-    fold_fits = [None] * len(grid)
-    tasks = [(i, data, config, folds, criterion) for i, config in enumerate(grid)]
+    tasks = [(i, data, config, folds) for i, config in enumerate(grid)]
     if n_jobs == 1 or len(grid) == 1:
         results = map(_cv_worker, tasks)
     else:
         workers = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cv_worker, tasks))
-    for index, value, solutions, message in results:
+    for index, value, message in results:
         values[index] = value
         messages[index] = message
-        fold_fits[index] = solutions
-    best = _select_best(values, grid, maximize=criterion == CRITERION_CV_AUC)
+    best = _select_best(values, grid, maximize=True)
     return SelectionResult(
-        criterion_kind=criterion,
+        criterion_kind=CRITERION_CV_AUC,
         configs=grid,
         criteria=values,
         messages=tuple(messages),
         best_index=best,
-        fold_fits=tuple(fold_fits),
     )
 
 
@@ -302,6 +268,8 @@ def select_by_aicc(data: LabeledCoefficients, grid) -> SelectionResult:
 
 def default_lambda_grid(data: LabeledCoefficients, num: int = 20) -> np.ndarray:
     """Logarithmic grid from 1e-4*lambda_max up to lambda_max."""
+    if num < 1:
+        raise DataError(f"the lambda grid needs at least one point, got {num}")
     top = lambda_max(data)
     if top <= 0.0:
         return np.zeros(1)

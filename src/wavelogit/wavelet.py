@@ -9,6 +9,7 @@ maps and energy is preserved.  Coefficient vectors are laid out as
 from __future__ import annotations
 
 from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -173,6 +174,10 @@ class WaveletBasis:
     d: int
 
     def __post_init__(self):
+        for name in ("j0", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if not _is_power_of_two(self.d):
             raise DataError(f"signal length d={self.d} is not a power of two >= 2")
         if self.j0 < 0:

@@ -1,10 +1,24 @@
 """Tests for the command-line driver: workflows and exit codes."""
 
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wavelogit
 from wavelogit.cli import main
 from wavelogit.dataio import load_dataset, load_model
+
+# child processes import the package from the source tree under test
+SOURCE_DIR = str(Path(wavelogit.__file__).resolve().parent.parent)
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SOURCE_DIR, os.environ.get("PYTHONPATH")])),
+}
 
 SIM_ARGS = [
     "--n-per-class", "20",
@@ -75,7 +89,7 @@ class TestWorkflow:
         ]) == 0
         assert "AICc" in capsys.readouterr().out
         model = load_model(model_path)
-        assert model.estimator == "wpcr" and model.loadings is not None
+        assert model.estimator == "wpcr" and model.q in (2, 4)
 
     def test_cv_summary_counts_failed_points(self, tmp_path, capsys):
         train, _ = simulate(tmp_path)
@@ -159,3 +173,58 @@ class TestExitCodes:
     def test_effects_without_support_is_2(self, tmp_path):
         out = str(tmp_path / "x.csv")
         assert main(["simulate", "--out", out, "--effects", "1.0"]) == 2
+
+    def test_non_finite_lambda_is_2(self, tmp_path):
+        """A NaN penalty once made the wnet backtracking loop spin forever,
+        so the command runs in a child process under a time limit."""
+        train, _ = simulate(tmp_path)
+        for flags in (["fit", "--lambda", "nan"], ["cv", "--lambda-grid", "0.5,nan"]):
+            child = subprocess.run(
+                [sys.executable, "-m", "wavelogit", *flags, "--data", train,
+                 "--method", "wnet", "--j0", "2", "--out", str(tmp_path / "m.json")],
+                env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+            )
+            assert child.returncode == 2, child.stderr
+            assert "finite" in child.stderr
+
+    @pytest.mark.parametrize("n_lambda", ["0", "-1"])
+    def test_empty_lambda_grid_is_2(self, tmp_path, capsys, n_lambda):
+        train, _ = simulate(tmp_path)
+        out = str(tmp_path / "m.json")
+        args = ["cv", "--data", train, "--method", "wnet", "--n-lambda", n_lambda,
+                "--j0", "2", "--out", out]
+        assert main(args) == 2
+        assert "at least one point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts", [("8", "-1"), ("-1", "8"), ("0", "8")])
+    def test_bad_simulate_count_is_2(self, tmp_path, capsys, counts):
+        args = ["simulate", "--out", str(tmp_path / "a.csv"),
+                "--test-out", str(tmp_path / "b.csv"),
+                "--n-per-class", counts[0], "--n-test-per-class", counts[1]]
+        assert main(args) == 2
+        assert "need --n-per-class >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dataset", "model"])
+    def test_non_utf8_file_is_2(self, tmp_path, capsys, kind):
+        train, test = simulate(tmp_path)
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
+                     "--j0", "2", "--out", model_path]) == 0
+        target = test if kind == "dataset" else model_path
+        with open(target, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert main(["evaluate", "--model", model_path, "--data", test]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_model_with_string_j0_is_2(self, tmp_path, capsys):
+        """A bad wavelet level fails when the model loads, not while scoring."""
+        train, test = simulate(tmp_path)
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
+                     "--j0", "2", "--out", model_path]) == 0
+        doc = json.load(open(model_path))
+        doc["j0"] = "2"
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["evaluate", "--model", model_path, "--data", test]) == 2
+        assert "j0" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from wavelogit.exceptions import (
     ParseError,
 )
 from wavelogit.model import FittedModel, model_from_fit
-from wavelogit.penalized import FitConfig, build_reduction, fit_estimator
+from wavelogit.penalized import FitConfig, fit_estimator
 from wavelogit.simulate import SynthSpec, generate_dataset
 from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
 
@@ -41,9 +41,7 @@ def fitted_model(estimator="wnet", q=None, tau=0.0, d=16, j0=2, n=40):
     basis = make_basis("db4", j0, d)
     data = to_coefficients(dataset, basis)
     config = FitConfig(estimator=estimator, lam=0.1, q=q, tau=tau)
-    reduction = build_reduction(data, config)
-    solution = fit_estimator(data, config, basis=reduction)
-    return model_from_fit(solution, config, basis, reduction), dataset
+    return model_from_fit(fit_estimator(data, config), config, basis), dataset
 
 
 class TestCurveDataset:
@@ -170,26 +168,27 @@ class TestModelFile:
             after = back.predict_proba(dataset.curves)
             assert np.array_equal(before, after)
 
-    def test_round_trip_loadings_exact(self, tmp_path):
+    def test_round_trip_reduced_model_exact(self, tmp_path):
         model, _ = fitted_model(estimator="wpls", q=4)
         path = str(tmp_path / "m.json")
         save_model(model, path)
         back = load_model(path)
-        assert np.array_equal(back.loadings, model.loadings)
-        assert np.array_equal(back.center, model.center)
+        assert np.array_equal(back.omega, model.omega)
+        assert back.intercept == model.intercept and back.lam == model.lam
         assert back.q == 4 and back.estimator == "wpls"
+        assert "loadings" not in json.load(open(path))
 
     def test_unknown_version_refused(self, tmp_path):
         model, _ = fitted_model()
         path = str(tmp_path / "m.json")
         save_model(model, path)
         doc = json.load(open(path))
-        doc["format_version"] = 2
+        doc["format_version"] = 3
         with open(path, "w") as fh:
             json.dump(doc, fh)
         with pytest.raises(ModelFileError) as info:
             load_model(path)
-        assert "2" in str(info.value)
+        assert "3" in str(info.value)
 
     def test_corrupted_field_refused(self, tmp_path):
         model, _ = fitted_model()
@@ -215,10 +214,12 @@ class TestModelFile:
 
     def test_not_json_refused(self, tmp_path):
         path = str(tmp_path / "m.json")
-        with open(path, "w") as fh:
-            fh.write("not a model")
-        with pytest.raises(ModelFileError):
-            load_model(path)
+        # nesting deeper than the decoder's recursion limit
+        for text in ("not a model", "[" * 100_000 + "]" * 100_000):
+            with open(path, "w") as fh:
+                fh.write(text)
+            with pytest.raises(ModelFileError):
+                load_model(path)
 
 
 class TestExports:
@@ -233,8 +234,6 @@ class TestExports:
             tau=0.0,
             intercept=0.0,
             omega=omega,
-            center=None,
-            loadings=None,
             kkt_residual=0.0,
             iterations=1,
         )

@@ -6,7 +6,7 @@ import pytest
 from wavelogit.exceptions import DataError, DimensionError
 from wavelogit.glm import LabeledCoefficients, link_logistic
 from wavelogit.model import FittedModel, model_from_fit
-from wavelogit.penalized import FitConfig, build_reduction, fit_estimator
+from wavelogit.penalized import FitConfig, fit_estimator
 from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
 
 
@@ -21,8 +21,6 @@ def make_model(omega=None, d=16, j0=2, intercept=0.3, **overrides):
         tau=0.0,
         intercept=intercept,
         omega=np.zeros(d) if omega is None else omega,
-        center=None,
-        loadings=None,
         kkt_residual=1e-6,
         iterations=10,
     )
@@ -40,10 +38,13 @@ class TestFittedModel:
             make_model(omega=np.zeros(8))
         with pytest.raises(DataError):
             make_model(omega=np.full(16, np.nan))
+        # the wavelet basis is checked when the model is built, not at predict
         with pytest.raises(DataError):
-            make_model(center=np.zeros(16))  # loadings missing
-        with pytest.raises(DimensionError):
-            make_model(q=3, center=np.zeros(16), loadings=np.zeros((16, 2)))
+            make_model(j0="2")
+        with pytest.raises(DataError):
+            make_model(j0=4)  # no detail levels left for d=16
+        with pytest.raises(DataError):
+            make_model(d=12, omega=np.zeros(12))
 
     def test_predict_proba_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -78,21 +79,7 @@ class TestModelFromFit:
         solution = fit_estimator(data, config)
         basis = make_basis("db4", 2, 16)
         model = model_from_fit(solution, config, basis)
-        assert model.center is None and model.loadings is None
+        assert model.q is None
         assert np.array_equal(model.omega, solution.omega)
         assert model.intercept == solution.intercept
         assert model.lam == 0.5 and model.estimator == "wnet"
-
-    def test_reduced_fit_stores_reduction(self):
-        rng = np.random.default_rng(3)
-        theta = rng.standard_normal((40, 16))
-        labels = (np.arange(40) % 2).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=labels, j0=2, d=16)
-        config = FitConfig(estimator="wpcr", lam=0.1, q=3)
-        reduction = build_reduction(data, config)
-        solution = fit_estimator(data, config, basis=reduction)
-        basis = make_basis("db4", 2, 16)
-        model = model_from_fit(solution, config, basis, reduction)
-        assert np.array_equal(model.loadings, reduction.loadings)
-        assert np.array_equal(model.center, reduction.center)
-        assert model.q == 3

@@ -14,7 +14,6 @@ from wavelogit.glm import (
 from wavelogit.metrics import auc
 from wavelogit.penalized import (
     FitConfig,
-    beta_estimate,
     build_reduction,
     fit_estimator,
     fit_wnet,
@@ -22,7 +21,7 @@ from wavelogit.penalized import (
     soft_threshold,
 )
 from wavelogit.select import cross_validate, default_lambda_grid, make_folds
-from wavelogit.wavelet import dwt_forward, make_basis
+from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
 
 
 def random_instance(rng, n, d, j0=2, strength=1.0):
@@ -376,7 +375,7 @@ class TestBetaEstimate:
             nonzero_detail_count=0,
             iterations=0,
         )
-        np.testing.assert_array_equal(beta_estimate(sol, basis), np.zeros(32))
+        np.testing.assert_array_equal(dwt_inverse(sol.omega, basis), np.zeros(32))
 
     def test_single_scale_atom(self):
         """omega = c * e_0 reconstructs c times the first scaling atom,
@@ -395,7 +394,7 @@ class TestBetaEstimate:
             nonzero_detail_count=0,
             iterations=0,
         )
-        beta = beta_estimate(sol, basis)
+        beta = dwt_inverse(sol.omega, basis)
         np.testing.assert_allclose(beta, np.full(8, 2.0 / np.sqrt(8)), atol=1e-12)
 
     def test_round_trip_through_transform(self):
@@ -414,7 +413,7 @@ class TestBetaEstimate:
             nonzero_detail_count=0,
             iterations=0,
         )
-        np.testing.assert_allclose(beta_estimate(sol, basis), beta_true, atol=1e-10)
+        np.testing.assert_allclose(dwt_inverse(sol.omega, basis), beta_true, atol=1e-10)
 
 
 class TestFitConfig:
@@ -429,6 +428,14 @@ class TestFitConfig:
             FitConfig(estimator="wcr", q=0)
         with pytest.raises(DataError):
             FitConfig(estimator="wls", q=2, tau=-0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_penalties_rejected(self, bad):
+        """A NaN penalty used to pass the >= 0 check and hang the solver."""
+        with pytest.raises(DataError):
+            FitConfig(estimator="wnet", lam=bad)
+        with pytest.raises(DataError):
+            FitConfig(estimator="wcr", q=2, tau=bad)
 
     def test_wnet_ignores_q(self):
         config = FitConfig(estimator="wnet", lam=0.5)

@@ -1,0 +1,236 @@
+"""Property tests: transform, AUC, soft-threshold, model files and malformed input.
+
+Every test runs a fixed, derandomized set of examples with no example
+database, so the suite stays deterministic.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wavelogit.dataio import (
+    CurveDataset,
+    load_dataset,
+    load_model,
+    save_model,
+    to_coefficients,
+)
+from wavelogit.exceptions import DataError
+from wavelogit.metrics import auc
+from wavelogit.model import FittedModel, model_from_fit
+from wavelogit.penalized import ESTIMATORS, FitConfig, build_reduction, fit_estimator
+from wavelogit.reduce import soft_threshold
+from wavelogit.wavelet import FILTERS, dwt_forward, dwt_inverse, make_basis
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def fixed(max_examples):
+    return settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=max_examples,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+@st.composite
+def transform_cases(draw):
+    family = draw(st.sampled_from(sorted(FILTERS)))
+    levels = draw(st.integers(1, 7))
+    j0 = draw(st.integers(0, levels - 1))
+    rows = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    x = np.random.default_rng(seed).standard_normal((rows, 2**levels)) * scale
+    return make_basis(family, j0, 2**levels), x
+
+
+class TestTransformProperties:
+    @fixed(150)
+    @given(transform_cases())
+    def test_round_trip_and_energy(self, case):
+        basis, x = case
+        theta = dwt_forward(x, basis)
+        scale = np.max(np.abs(x))
+        np.testing.assert_allclose(dwt_inverse(theta, basis), x, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            np.sum(theta * theta, axis=1), np.sum(x * x, axis=1), rtol=1e-12
+        )
+
+
+def pair_count_auc(scores, labels):
+    pos = scores[labels == 1.0]
+    neg = scores[labels == 0.0]
+    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+    return wins / (pos.size * neg.size)
+
+
+@st.composite
+def scored_labels(draw):
+    n = draw(st.integers(2, 30))
+    labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    labels[0], labels[1] = 0.0, 1.0
+    # few distinct values, so most draws carry ties
+    levels = draw(st.integers(1, 6))
+    scores = np.array(
+        draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)), dtype=float
+    ) / levels
+    return scores, labels
+
+
+class TestAucProperties:
+    @fixed(150)
+    @given(scored_labels())
+    def test_equals_pair_counting(self, case):
+        scores, labels = case
+        assert abs(auc(scores, labels) - pair_count_auc(scores, labels)) <= 1e-12
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+thresholds = st.floats(0.0, 1e3, allow_nan=False)
+
+
+class TestSoftThresholdProperties:
+    @fixed(200)
+    @given(st.lists(finite, min_size=1, max_size=20), thresholds, thresholds)
+    def test_shrinkage_laws(self, values, a, b):
+        x = np.array(values)
+        out = soft_threshold(x, a)
+        assert np.all((np.sign(out) == np.sign(x)) | (out == 0.0))
+        assert np.all(np.abs(out) <= np.abs(x))
+        assert np.all(out[np.abs(x) <= a] == 0.0)
+        twice = soft_threshold(soft_threshold(x, a), b)
+        once = soft_threshold(x, a + b)
+        np.testing.assert_allclose(twice, once, rtol=0, atol=1e-15 * max(1.0, np.max(np.abs(x))))
+
+
+def small_dataset(seed, n=40, d=16):
+    rng = np.random.default_rng(seed)
+    labels = (np.arange(n) % 2).astype(float)
+    curves = rng.standard_normal((n, d)) + 0.3 * np.outer(labels, rng.standard_normal(d))
+    return CurveDataset(curves=curves, labels=labels)
+
+
+def as_version_1(path, reduction):
+    """Rewrite a saved model in format version 1, which also held the reduction."""
+    doc = json.loads(Path(path).read_text())
+    doc["format_version"] = 1
+    doc["center"] = None if reduction is None else [format(v, ".17g") for v in reduction.center]
+    doc["loadings"] = (
+        None if reduction is None else [format(v, ".17g") for v in reduction.loadings.ravel()]
+    )
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+class TestModelFileProperties:
+    @fixed(25)
+    @given(
+        st.sampled_from(ESTIMATORS),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.01, 0.1, 1.0]),
+    )
+    def test_save_load_predictions_bit_exact(self, tmp_path_factory, estimator, seed, lam):
+        dataset = small_dataset(seed)
+        basis = make_basis("db4", 2, 16)
+        data = to_coefficients(dataset, basis)
+        config = FitConfig(estimator=estimator, lam=lam, q=None if estimator == "wnet" else 2)
+        model = model_from_fit(fit_estimator(data, config), config, basis)
+        before = model.predict_proba(dataset.curves)
+        path = tmp_path_factory.mktemp("model") / "m.json"
+        save_model(model, str(path))
+        assert np.array_equal(load_model(str(path)).predict_proba(dataset.curves), before)
+        as_version_1(path, build_reduction(data, config))
+        assert np.array_equal(load_model(str(path)).predict_proba(dataset.curves), before)
+
+    def test_version_1_file_predicts_as_written(self):
+        """A reduced model saved in format version 1, with its probabilities."""
+        i, j = np.meshgrid(np.arange(24), np.arange(16), indexing="ij")
+        labels = (np.arange(24) % 2).astype(float)
+        curves = ((i * 7 + j * 3) % 11 - 5) / 4.0 + np.outer(labels, j[0] % 5 == 2) * 0.75
+        model = load_model(str(DATA_DIR / "model_v1_wpls.json"))
+        probs_csv = (DATA_DIR / "model_v1_wpls_probs.csv").read_text()
+        expected = [float(v) for v in probs_csv.split()[1:]]
+        assert model.estimator == "wpls" and model.q == 2
+        assert np.array_equal(model.predict_proba(curves), np.array(expected))
+
+
+# malformed input -------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def valid_model_doc():
+    omega = [format(v, ".17g") for v in np.linspace(-1.0, 1.0, 8)]
+    return {
+        "format_version": 2, "estimator": "wpcr", "family": "haar", "j0": 1, "d": 8,
+        "lambda": "0.5", "q": 2, "tau": "0", "intercept": "0.25", "omega": omega,
+        "kkt_residual": "1e-07", "iterations": 12,
+    }
+
+
+@st.composite
+def mutated_model_docs(draw):
+    doc = valid_model_doc()
+    for key in draw(st.lists(st.sampled_from(sorted(doc) + ["center", "loadings"]), max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(json_values)
+    return doc
+
+
+def csv_like_text():
+    cell = st.sampled_from(["0", "1", "2", "-1.5", "1e308", "1e999", "nan", "x", "", " 3 "])
+    row = st.lists(cell, min_size=0, max_size=9).map(",".join)
+    header = st.sampled_from(["label,t1,t2", "label,t1,t2,t3,t4", "lbl,t1,t2", "label", ""])
+    return st.builds(
+        lambda h, rows, newline: newline.join([h] + rows),
+        header,
+        st.lists(row, max_size=5),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+
+
+class TestMalformedFiles:
+    @fixed(200)
+    @given(st.one_of(st.binary(max_size=200), csv_like_text().map(str.encode)))
+    def test_dataset_loads_or_raises_data_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(raw)
+        try:
+            dataset = load_dataset(str(path))
+        except DataError:
+            return
+        assert isinstance(dataset, CurveDataset)
+
+    @fixed(200)
+    @given(
+        st.one_of(
+            mutated_model_docs().map(lambda doc: json.dumps(doc).encode()),
+            json_values.map(lambda value: json.dumps(value).encode()),
+            st.binary(max_size=200),
+            st.builds(lambda doc, junk: json.dumps(doc).encode() + junk,
+                      mutated_model_docs(), st.binary(min_size=1, max_size=4)),
+        )
+    )
+    def test_model_loads_and_predicts_or_raises_data_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("model") / "m.json"
+        path.write_bytes(raw)
+        try:
+            model = load_model(str(path))
+        except DataError:
+            return
+        assert isinstance(model, FittedModel)
+        curves = np.linspace(-1.0, 1.0, 3 * model.d).reshape(3, model.d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert model.predict_proba(curves).shape == (3,)

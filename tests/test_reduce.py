@@ -8,10 +8,8 @@ from wavelogit.reduce import (
     KIND_SPARSE_PCA,
     KIND_SPARSE_PLS,
     ReducedBasis,
-    expand,
     pca_fit,
     pls_fit,
-    reduce,
     sparse_component_fit,
 )
 
@@ -62,7 +60,7 @@ class TestPcaFit:
         theta = rng.standard_normal((20, 8))
         basis = pca_fit(theta, q=8)
         centered = theta - basis.center
-        projected = reduce(basis, theta)
+        projected = centered @ basis.loadings
         np.testing.assert_allclose(
             np.linalg.norm(projected, axis=1), np.linalg.norm(centered, axis=1), rtol=1e-8
         )
@@ -211,19 +209,21 @@ class TestSparseComponents:
 
 
 class TestReduceExpand:
+    """Reduce is (theta - center) @ V_q; expand is V_q @ gamma, with no center."""
+
     def test_expand_unit_gamma_gives_column(self):
         rng = np.random.default_rng(14)
         theta = rng.standard_normal((20, 6))
         basis = pca_fit(theta, q=3)
         gamma = np.eye(3)[0]
-        np.testing.assert_allclose(expand(basis, gamma), basis.loadings[:, 0], atol=0)
+        np.testing.assert_allclose(basis.loadings @ gamma, basis.loadings[:, 0], atol=0)
 
     def test_pca_full_q_round_trip(self):
         rng = np.random.default_rng(15)
         theta = rng.standard_normal((20, 8))
         basis = pca_fit(theta, q=8)
         centered = theta - basis.center
-        back = expand(basis, reduce(basis, theta))
+        back = (centered @ basis.loadings) @ basis.loadings.T
         np.testing.assert_allclose(back, centered, atol=1e-8)
 
     def test_reduce_after_expand_is_identity(self):
@@ -232,15 +232,8 @@ class TestReduceExpand:
         basis = pca_fit(theta, q=4)
         for _ in range(20):
             gamma = rng.standard_normal(4)
-            back = (expand(basis, gamma)) @ basis.loadings  # V^T V gamma
+            back = (basis.loadings @ gamma) @ basis.loadings  # V^T V gamma
             np.testing.assert_allclose(back, gamma, atol=1e-10)
-
-    def test_dimension_checks(self):
-        basis = pca_fit(np.random.default_rng(17).standard_normal((10, 5)), q=2)
-        with pytest.raises(Exception):
-            reduce(basis, np.zeros(4))
-        with pytest.raises(Exception):
-            expand(basis, np.zeros(3))
 
 
 class TestLeading:
