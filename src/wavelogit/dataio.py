@@ -206,7 +206,7 @@ def load_model(path: str) -> FittedModel:
             kkt_residual=float(_require_field(doc, "kkt_residual")),
             iterations=_require_field(doc, "iterations"),
         )
-    except (DataError, ModelFileError):
+    except ModelFileError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"model file {path} is corrupted: {exc}") from None

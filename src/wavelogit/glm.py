@@ -2,8 +2,11 @@
 
 The model is P(Y=1 | x) = sigmoid(intercept + theta @ omega) where theta
 holds the wavelet coefficients of the observed curve.  This module owns the
-likelihood, its gradient, and an unpenalized maximum-likelihood fitter used
-as the zero-penalty reference by the penalized solvers.
+likelihood and its gradient, and the one damped-Newton routine that every
+smooth logistic fit runs: the unpenalized maximum-likelihood fit
+(``irls_fit``, also the zero-penalty reference for the penalized solvers),
+the null fit behind ``lambda_max``, the ``wcr``/``wls`` fits and the
+gamma-update of the ``wpcr``/``wpls`` ADMM, which adds a quadratic term.
 """
 
 from __future__ import annotations
@@ -117,80 +120,86 @@ def neg_log_likelihood(state: LinearModelState, data: LabeledCoefficients) -> fl
     return _nll_from_eta(np.asarray(eta), data.labels)
 
 
+def _with_intercept(design: np.ndarray) -> np.ndarray:
+    """``design`` with a leading column of ones (coefficient 0 is the intercept)."""
+    return np.column_stack([np.ones(design.shape[0]), design])
+
+
+def _nll_grad(aug: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    """NLL and its gradient at ``beta`` for an intercept-augmented design."""
+    eta = aug @ beta
+    return _nll_from_eta(eta, y), aug.T @ (link_logistic(eta) - y)
+
+
 def nll_gradient(state: LinearModelState, data: LabeledCoefficients):
     """Gradient of the NLL: (theta^T (p - y), sum(p - y))."""
-    eta = np.asarray(linear_predictor(state, data.theta))
-    resid = link_logistic(eta) - data.labels
-    return data.theta.T @ resid, float(resid.sum())
+    if state.omega.shape[0] != data.d:
+        raise DimensionError(f"theta has {data.d} columns, omega has {state.omega.shape[0]}")
+    beta = np.concatenate([[state.intercept], state.omega])
+    _, grad = _nll_grad(_with_intercept(data.theta), data.labels, beta)
+    return grad[1:], float(grad[0])
 
 
-def _irls_core(
-    design: np.ndarray,
-    y: np.ndarray,
-    max_iter: int,
-    tol: float,
-    separation_bound: float | None = None,
-):
-    """IRLS for logistic regression on ``design`` plus an intercept column.
+def _newton(aug, y, beta, max_iter: int, tol: float, quad=None, separation_bound=None):
+    """Damped Newton for NLL(aug @ beta) + (rho/2)||A beta[1:] - b||^2.
 
-    Returns (coef, intercept, iterations).  Raises ConvergenceError with the
-    last iterate attached when max_iter is exhausted, SingularityError when
-    the weighted normal equations stay singular after a ridge fallback, and
-    SeparationError when coefficients pass ``separation_bound``.
+    ``quad`` is ``(rho, A, b, A^T A)``, or None for the likelihood alone.
+    Each step solves (H + 1e-10 I) step = g and is halved up to 40 times
+    until the objective does not increase; the objective is first evaluated
+    when a step is needed.  Returns (beta, steps taken) once the sup-norm
+    of the gradient is at most ``tol``.  Raises ConvergenceError with the
+    last iterate after ``max_iter`` steps or a failed halving,
+    SingularityError on a singular system, and SeparationError when a
+    non-intercept coefficient passes ``separation_bound``.
     """
-    n, k = design.shape
-    aug = np.column_stack([np.ones(n), design])
-    beta = np.zeros(k + 1)
-    nll = _nll_from_eta(aug @ beta, y)
-    for iteration in range(1, max_iter + 1):
+    k = aug.shape[1]
+    # without a quadratic term, an empty one with rho = 0 adds exact zeros
+    rho, a_mat, target, gram = quad or (0.0, np.zeros((0, k - 1)), np.zeros(0), 0.0)
+    value = None
+    for steps in range(max_iter + 1):
         eta = aug @ beta
         p = link_logistic(eta)
-        resid = p - y
-        grad = aug.T @ resid
-        if np.max(np.abs(grad)) <= tol:
-            return beta[1:], float(beta[0]), iteration - 1
-        w = p * (1.0 - p)
-        sw = np.sqrt(w)
-        # Newton step as a least-squares problem: min ||sw*aug @ step - (y-p)/sw||
-        lhs = aug * sw[:, None]
-        rhs = np.divide(y - p, sw, out=np.zeros_like(sw), where=sw > 0)
-        step, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        if rank < k + 1:
-            gram = lhs.T @ lhs + 1e-10 * np.eye(k + 1)
-            try:
-                step = np.linalg.solve(gram, aug.T @ (y - p))
-            except np.linalg.LinAlgError as exc:
-                raise SingularityError(
-                    "weighted normal equations are singular even with ridge fallback"
-                ) from exc
+        resid = a_mat @ beta[1:] - target
+        grad = aug.T @ (p - y)
+        grad[1:] += rho * (a_mat.T @ resid)
+        gnorm = float(np.max(np.abs(grad)))
+        if gnorm <= tol:
+            return beta, steps
+        if steps == max_iter:
+            raise ConvergenceError(
+                f"Newton did not reach gradient tolerance {tol} in {max_iter} iterations",
+                last_solution=(beta[1:].copy(), float(beta[0])),
+                residual=gnorm,
+            )
+        hess = (aug * (p * (1.0 - p))[:, None]).T @ aug
+        hess[1:, 1:] += rho * gram
+        hess[np.diag_indices(k)] += 1e-10
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError("the Newton system is singular") from exc
+        if value is None:
+            value = _nll_from_eta(eta, y) + 0.5 * rho * (resid @ resid)
         scale = 1.0
         for _ in range(40):
-            candidate = beta + scale * step
-            cand_nll = _nll_from_eta(aug @ candidate, y)
-            if cand_nll <= nll + 1e-12:
+            cand = beta - scale * step
+            r = a_mat @ cand[1:] - target
+            cand_value = _nll_from_eta(aug @ cand, y) + 0.5 * rho * (r @ r)
+            if cand_value <= value + 1e-12:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError(
-                "step halving failed to decrease the negative log-likelihood",
+                "step halving failed to decrease the objective",
                 last_solution=(beta[1:].copy(), float(beta[0])),
-                residual=float(np.max(np.abs(grad))),
+                residual=gnorm,
             )
-        beta, nll = candidate, cand_nll
+        beta, value = cand, cand_value
         if separation_bound is not None and np.max(np.abs(beta[1:])) > separation_bound:
             raise SeparationError(
                 "coefficients diverged, which indicates separable classes; "
                 "use fewer components (smaller q) or more sparsity (larger tau)"
             )
-    eta = aug @ beta
-    grad = aug.T @ (link_logistic(eta) - y)
-    if np.max(np.abs(grad)) <= tol:
-        return beta[1:], float(beta[0]), max_iter
-    raise ConvergenceError(
-        f"IRLS did not reach gradient tolerance {tol} in {max_iter} iterations",
-        last_solution=(beta[1:].copy(), float(beta[0])),
-        residual=float(np.max(np.abs(grad))),
-    )
 
 
 def irls_fit(
@@ -209,7 +218,9 @@ def irls_fit(
         cols = np.arange(data.d)
     else:
         cols = np.asarray(columns, dtype=int)
-    coef, intercept, _ = _irls_core(data.theta[:, cols], data.labels, max_iter, tol)
+    beta, _ = _newton(
+        _with_intercept(data.theta[:, cols]), data.labels, np.zeros(cols.size + 1), max_iter, tol
+    )
     omega = np.zeros(data.d)
-    omega[cols] = coef
-    return LinearModelState(omega=omega, intercept=intercept)
+    omega[cols] = beta[1:]
+    return LinearModelState(omega=omega, intercept=float(beta[0]))

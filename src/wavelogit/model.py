@@ -14,8 +14,14 @@ import numpy as np
 
 from .exceptions import DataError, DimensionError
 from .glm import link_logistic
-from .penalized import ESTIMATORS, FitConfig, PenalizedSolution
+from .penalized import FitConfig, PenalizedSolution
 from .wavelet import WaveletBasis, dwt_forward, dwt_inverse, make_basis
+
+
+def _as_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -35,8 +41,15 @@ class FittedModel:
     iterations: int
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise DataError(f"unknown estimator {self.estimator!r} (choose from {ESTIMATORS})")
+        if self.q is not None:
+            object.__setattr__(self, "q", _as_int(self.q, "q"))
+        # the tuning parameters must form the config that produced the fit
+        FitConfig(estimator=self.estimator, lam=self.lam, q=self.q, tau=self.tau)
+        object.__setattr__(self, "iterations", _as_int(self.iterations, "iterations"))
+        if self.iterations < 0:
+            raise DataError(f"iterations must be >= 0, got {self.iterations}")
+        if not (np.isfinite(self.kkt_residual) and self.kkt_residual >= 0):
+            raise DataError(f"kkt_residual must be finite and >= 0, got {self.kkt_residual!r}")
         # a family, j0 or d that cannot score curves fails here, not at predict
         self.wavelet_basis()
         omega = np.ascontiguousarray(np.asarray(self.omega, dtype=float))

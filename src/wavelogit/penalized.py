@@ -7,11 +7,12 @@ restricted to a reduced subspace omega = V_q @ gamma.
 - wnet: penalty only, solved by accelerated proximal gradient (monotone
   restart, backtracking step size).
 - wpcr / wpls: penalty plus subspace constraint, a generalized lasso in
-  gamma, solved by residual-balanced, over-relaxed ADMM with Newton
-  gamma-updates.
-- wcr / wls: subspace constraint from a sparse reduction, no penalty,
-  solved by IRLS on the reduced design.
+  gamma, solved by residual-balanced, over-relaxed ADMM.
+- wcr / wls: subspace constraint from a sparse reduction, no penalty.
 
+Every smooth subproblem goes to the damped Newton routine of ``glm``: the
+wcr/wls fit, the ADMM gamma-update (likelihood plus the augmented-Lagrangian
+quadratic) and the null fit shared by ``lambda_max`` and the wnet warm start.
 Scale coefficients (the first 2**j0 positions) and the intercept are never
 penalized.
 """
@@ -23,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DataError, DimensionError, NumericalError
-from .glm import LabeledCoefficients, LinearModelState, _irls_core, _nll_from_eta, link_logistic
+from .glm import (
+    LabeledCoefficients,
+    LinearModelState,
+    _newton,
+    _nll_from_eta,
+    _nll_grad,
+    _with_intercept,
+)
 from .reduce import (
     KIND_SPARSE_PCA,
     KIND_SPARSE_PLS,
@@ -51,8 +59,9 @@ class FitConfig:
 
     ``tol`` (relative objective change) governs ``wnet`` only: the ADMM of
     ``wpcr``/``wpls`` stops on fixed primal and dual residual thresholds,
-    and the IRLS of ``wcr``/``wls`` uses its own tolerance and cap.
-    ``max_iter`` caps ``wnet`` and the ADMM.
+    and every Newton solve (``wcr``/``wls`` fits, ADMM gamma-updates, null
+    fits) stops on a fixed gradient tolerance and cap.  ``max_iter`` caps
+    ``wnet`` and the ADMM.
     """
 
     estimator: str
@@ -97,10 +106,15 @@ def _detail_mask(data: LabeledCoefficients) -> np.ndarray:
     return mask
 
 
-def _nll_grad(aug: np.ndarray, y: np.ndarray, beta: np.ndarray):
-    eta = aug @ beta
-    resid = link_logistic(eta) - y
-    return _nll_from_eta(eta, y), aug.T @ resid
+def _null_fit(data: LabeledCoefficients, aug: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood fit of the intercept and scale block (the lasso
+    null model); detail coordinates stay 0.  ``lambda_max`` and the wnet
+    warm start both fit on the full augmented design, so the solver starts
+    at the detail gradients that define lambda_max, bit for bit."""
+    free = 1 + data.n_scale
+    beta = np.zeros(aug.shape[1])
+    beta[:free], _ = _newton(aug[:, :free], data.labels, beta[:free], 200, 1e-10)
+    return beta
 
 
 def lambda_max(data: LabeledCoefficients) -> float:
@@ -110,14 +124,8 @@ def lambda_max(data: LabeledCoefficients) -> float:
     scale-plus-intercept maximum-likelihood fit (the lasso null model).
     """
     data.require_both_classes()
-    coef, intercept, _ = _irls_core(data.theta[:, : data.n_scale], data.labels, 200, 1e-10)
-    beta = np.zeros(data.d + 1)
-    beta[0] = intercept
-    beta[1 : 1 + data.n_scale] = coef
-    # evaluate through the same augmented design the solver uses, so the
-    # solver started at this point sees bit-identical detail gradients
-    aug = np.column_stack([np.ones(data.n), data.theta])
-    _, grad = _nll_grad(aug, data.labels, beta)
+    aug = _with_intercept(data.theta)
+    _, grad = _nll_grad(aug, data.labels, _null_fit(data, aug))
     return float(np.max(np.abs(grad[1:][_detail_mask(data)])))
 
 
@@ -149,7 +157,7 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     y = data.labels
     n = data.n
     # column 0 is the intercept; penalty applies to detail coordinates only
-    aug = np.column_stack([np.ones(n), data.theta])
+    aug = _with_intercept(data.theta)
     pen = np.concatenate([[False], _detail_mask(data)])
 
     def objective(beta):
@@ -176,16 +184,12 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
                 return cand
             lipschitz *= 2.0
 
-    # warm start at the scale-plus-intercept maximum-likelihood fit: the
-    # critical penalty is defined by the gradient at this point, so any
-    # lam at or above it keeps the detail block exactly zero from step one
-    beta = np.zeros(aug.shape[1])
+    # warm start at the null fit that defines lambda_max, so any lam at or
+    # above it keeps the detail block exactly zero from step one
     try:
-        coef0, int0, _ = _irls_core(data.theta[:, : data.n_scale], y, 200, 1e-10)
-        beta[0] = int0
-        beta[1 : 1 + data.n_scale] = coef0
+        beta = _null_fit(data, aug)
     except NumericalError:
-        pass
+        beta = np.zeros(aug.shape[1])
     momentum = beta.copy()
     t_k = 1.0
     obj = objective(beta)
@@ -250,13 +254,12 @@ def fit_reduced_penalized(
     _check_basis(data, basis)
     lam = config.lam
     y = data.labels
-    n, q = data.n, basis.q
+    q = basis.q
     detail = _detail_mask(data)
     # design in gamma space, with an intercept column
-    design = np.column_stack([np.ones(n), data.theta @ basis.loadings])
+    design = _with_intercept(data.theta @ basis.loadings)
     d_map = basis.loadings[detail]  # maps gamma to the penalized block
     gram = d_map.T @ d_map
-    diag = np.arange(q + 1)
     rho = max(lam, 1.0)
 
     def objective(coef):
@@ -273,31 +276,8 @@ def fit_reduced_penalized(
     iterations = 0
     converged = False
     for iterations in range(1, config.max_iter + 1):
-        # gamma-update: smooth subproblem NLL + (rho/2)||D g - z + u||^2 by Newton
-        for _ in range(50):
-            eta = design @ coef
-            p = link_logistic(eta)
-            resid_vec = d_map @ coef[1:] - z + dual
-            grad = design.T @ (p - y)
-            grad[1:] += rho * (d_map.T @ resid_vec)
-            if np.max(np.abs(grad)) <= 1e-9 * max(1.0, rho):
-                break
-            w = p * (1.0 - p)
-            hess = (design * w[:, None]).T @ design
-            hess[1:, 1:] += rho * gram
-            hess[diag, diag] += 1e-10
-            step = np.linalg.solve(hess, grad)
-            # dampen so the inner objective never increases
-            cur = _nll_from_eta(eta, y) + 0.5 * rho * (resid_vec @ resid_vec)
-            scale = 1.0
-            for _ in range(40):
-                cand = coef - scale * step
-                r2 = d_map @ cand[1:] - z + dual
-                val = _nll_from_eta(design @ cand, y) + 0.5 * rho * (r2 @ r2)
-                if val <= cur + 1e-12:
-                    break
-                scale *= 0.5
-            coef = coef - scale * step
+        # gamma-update: the smooth subproblem NLL + (rho/2)||D g - (z - u)||^2
+        coef, _ = _newton(design, y, coef, 50, 1e-9 * max(1.0, rho), (rho, d_map, z - dual, gram))
         pen_block = d_map @ coef[1:]
         # over-relaxation: the z- and dual updates see a blend of the new
         # D gamma and the previous z
@@ -345,21 +325,21 @@ def fit_reduced_penalized(
 def fit_reduced_unpenalized(
     data: LabeledCoefficients, basis: ReducedBasis, config: FitConfig
 ) -> PenalizedSolution:
-    """Maximum-likelihood fit of gamma on a sparse-reduced design by IRLS."""
+    """Maximum-likelihood fit of gamma on a sparse-reduced design by Newton."""
     data.require_both_classes()
     _check_basis(data, basis)
     if basis.kind not in (KIND_SPARSE_PCA, KIND_SPARSE_PLS):
         raise DataError(
             f"unpenalized reduced fit expects a sparse reduction, got kind={basis.kind!r}"
         )
-    design = data.theta @ basis.loadings
+    aug = _with_intercept(data.theta @ basis.loadings)
     nll_start = _nll_from_eta(np.zeros(data.n), data.labels)
-    gamma, intercept, iterations = _irls_core(
-        design, data.labels, max_iter=200, tol=1e-8, separation_bound=1e3
+    coef, iterations = _newton(
+        aug, data.labels, np.zeros(aug.shape[1]), 200, 1e-8, separation_bound=1e3
     )
+    gamma, intercept = coef[1:], float(coef[0])
     omega = basis.loadings @ gamma
-    aug = np.column_stack([np.ones(data.n), design])
-    nll_end, grad = _nll_grad(aug, data.labels, np.concatenate([[intercept], gamma]))
+    nll_end, grad = _nll_grad(aug, data.labels, coef)
     detail = _detail_mask(data)
     return PenalizedSolution(
         omega=omega,

@@ -23,20 +23,17 @@ KINDS = (KIND_PCA, KIND_PLS, KIND_SPARSE_PCA, KIND_SPARSE_PLS)
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Loadings V_q (d x q), per-component criterion values, and the center."""
+    """Loadings V_q (d x q) and per-component criterion values."""
 
     loadings: np.ndarray
     scores_scale: np.ndarray
     kind: str
-    center: np.ndarray
 
     def __post_init__(self):
         loadings = np.asarray(self.loadings, dtype=float)
         scores_scale = np.asarray(self.scores_scale, dtype=float)
-        center = np.asarray(self.center, dtype=float)
         object.__setattr__(self, "loadings", loadings)
         object.__setattr__(self, "scores_scale", scores_scale)
-        object.__setattr__(self, "center", center)
         if self.kind not in KINDS:
             raise DataError(f"unknown reduction kind {self.kind!r}")
         if loadings.ndim != 2:
@@ -44,8 +41,8 @@ class ReducedBasis:
         d, q = loadings.shape
         if not 1 <= q <= d:
             raise DataError(f"need 1 <= q <= d, got q={q}, d={d}")
-        if scores_scale.shape != (q,) or center.shape != (d,):
-            raise DimensionError("scores_scale must have length q and center length d")
+        if scores_scale.shape != (q,):
+            raise DimensionError("scores_scale must have length q")
         norms = np.linalg.norm(loadings, axis=0)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise DataError("loadings columns must be unit-norm")
@@ -76,7 +73,6 @@ class ReducedBasis:
             loadings=np.ascontiguousarray(self.loadings[:, :q]),
             scores_scale=self.scores_scale[:q],
             kind=self.kind,
-            center=self.center,
         )
 
 
@@ -110,14 +106,10 @@ def pca_fit(theta, q: int) -> ReducedBasis:
     theta = np.asarray(theta, dtype=float)
     _check_q(theta, q)
     n = theta.shape[0]
-    center = theta.mean(axis=0)
-    centered = theta - center
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    _, svals, vt = np.linalg.svd(theta - theta.mean(axis=0), full_matrices=False)
     eigenvalues = svals**2 / (n - 1)
     loadings = np.column_stack([_fix_sign(vt[k]) for k in range(q)])
-    return ReducedBasis(
-        loadings=loadings, scores_scale=eigenvalues[:q], kind=KIND_PCA, center=center
-    )
+    return ReducedBasis(loadings=loadings, scores_scale=eigenvalues[:q], kind=KIND_PCA)
 
 
 def _pls_direction(residual: np.ndarray, y_centered: np.ndarray, k: int) -> np.ndarray:
@@ -145,8 +137,7 @@ def pls_fit(theta, labels, q: int) -> ReducedBasis:
     if labels.min() == labels.max():
         raise DataError("PLS reduction requires both classes present")
     n = theta.shape[0]
-    center = theta.mean(axis=0)
-    residual = theta - center
+    residual = theta - theta.mean(axis=0)
     y_c = labels - labels.mean()
     loadings = np.empty((theta.shape[1], q))
     criteria = np.empty(q)
@@ -156,7 +147,7 @@ def pls_fit(theta, labels, q: int) -> ReducedBasis:
         criteria[k] = abs(scores @ y_c) / (n - 1)
         loadings[:, k] = v
         residual = _deflate_by_scores(residual, scores)
-    return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=KIND_PLS, center=center)
+    return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=KIND_PLS)
 
 
 def _threshold_direction(raw: np.ndarray, tau: float, k: int) -> np.ndarray:
@@ -212,8 +203,7 @@ def sparse_component_fit(theta, labels, q: int, sparsity: float, kind: str) -> R
     theta = np.asarray(theta, dtype=float)
     _check_q(theta, q)
     n = theta.shape[0]
-    center = theta.mean(axis=0)
-    residual = theta - center
+    residual = theta - theta.mean(axis=0)
     if kind == KIND_SPARSE_PLS:
         labels = np.asarray(labels, dtype=float)
         if labels.shape != (n,):
@@ -237,5 +227,5 @@ def sparse_component_fit(theta, labels, q: int, sparsity: float, kind: str) -> R
             criteria[k] = abs(scores @ y_c) / (n - 1)
             loadings[:, k] = v
             residual = _deflate_by_scores(residual, scores)
-    return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=kind, center=center)
+    return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=kind)
 

@@ -228,3 +228,29 @@ class TestExitCodes:
             json.dump(doc, fh)
         assert main(["evaluate", "--model", model_path, "--data", test]) == 2
         assert "j0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("q", [1]),
+            ("iterations", "x"),
+            ("lambda", "nan"),
+            ("tau", "-3"),
+            ("kkt_residual", "inf"),
+            ("q", -4),
+            ("q", None),
+        ],
+    )
+    def test_invalid_model_field_is_2(self, tmp_path, capsys, field, value):
+        """Every field is checked when the model loads, also those scoring
+        does not read; a wpcr model needs a component count, so null q fails."""
+        train, test = simulate(tmp_path)
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--data", train, "--method", "wpcr", "--q", "2",
+                     "--lambda", "0.1", "--out", model_path]) == 0
+        doc = json.load(open(model_path))
+        doc[field] = value
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["evaluate", "--model", model_path, "--data", test]) == 2
+        assert "is corrupted" in capsys.readouterr().err

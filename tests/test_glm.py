@@ -1,4 +1,4 @@
-"""Tests for the logistic model core: link, likelihood, gradient, IRLS."""
+"""Tests for the logistic model core: link, likelihood, gradient, Newton fits."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from wavelogit.exceptions import ConvergenceError, DataError, DimensionError
 from wavelogit.glm import (
     LabeledCoefficients,
     LinearModelState,
+    _newton,
     irls_fit,
     linear_predictor,
     link_logistic,
@@ -232,3 +233,56 @@ class TestIrlsFit:
             irls_fit(data, max_iter=1, tol=1e-14)
         assert info.value.last_solution is not None
         assert info.value.residual is not None
+
+
+def newton_instance(seed):
+    """n=60 rows, q=4 columns plus an intercept, a penalty map A (m=10 x q)
+    and target b."""
+    rng = np.random.default_rng(seed)
+    n, q, m = 60, 4, 10
+    design = rng.standard_normal((n, q))
+    y = (rng.random(n) < link_logistic(design @ (0.5 * rng.standard_normal(q)))).astype(float)
+    aug = np.column_stack([np.ones(n), design])
+    a_mat = rng.standard_normal((m, q))
+    b = rng.standard_normal(m)
+    return aug, y, a_mat, b
+
+
+class TestNewton:
+    @pytest.mark.parametrize("rho", [1e-2, 1.0, 1e3])
+    def test_quadratic_term_stationary_by_finite_differences(self, rho):
+        """Central differences of NLL + (rho/2)||A beta[1:] - b||^2, written
+        out here from the definition, vanish at the returned point."""
+        aug, y, a_mat, b = newton_instance(30)
+        beta, _ = _newton(aug, y, np.zeros(5), 50, 1e-9, (rho, a_mat, b, a_mat.T @ a_mat))
+
+        def objective(x):
+            eta = aug @ x
+            r = a_mat @ x[1:] - b
+            return np.sum(np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0) - y * eta) + (
+                0.5 * rho * (r @ r)
+            )
+
+        h = 1e-6
+        numeric = [
+            (objective(beta + h * e) - objective(beta - h * e)) / (2 * h) for e in np.eye(5)
+        ]
+        assert np.max(np.abs(numeric)) <= 1e-6
+
+    def test_without_quadratic_term_equals_irls_fit(self):
+        aug, y, _, _ = newton_instance(31)
+        beta, steps = _newton(aug, y, np.zeros(5), 100, 1e-8)
+        data = LabeledCoefficients(theta=aug[:, 1:], labels=y, j0=0, d=4)
+        state = irls_fit(data, max_iter=100, tol=1e-8)
+        assert steps >= 1
+        np.testing.assert_allclose(beta[1:], state.omega, rtol=0, atol=1e-10)
+        assert abs(beta[0] - state.intercept) <= 1e-10
+
+    def test_cap_carries_last_iterate(self):
+        aug, y, a_mat, b = newton_instance(32)
+        with pytest.raises(ConvergenceError) as info:
+            _newton(aug, y, np.zeros(5), 1, 1e-14, (1.0, a_mat, b, a_mat.T @ a_mat))
+        coef, intercept = info.value.last_solution
+        assert coef.shape == (4,) and np.all(np.isfinite(coef)) and np.isfinite(intercept)
+        assert np.any(coef != 0.0)
+        assert info.value.residual > 1e-14

@@ -6,6 +6,7 @@ import pytest
 from wavelogit.exceptions import DataError, SeparationError
 from wavelogit.glm import (
     LabeledCoefficients,
+    _newton,
     irls_fit,
     link_logistic,
     neg_log_likelihood,
@@ -290,12 +291,10 @@ class TestReducedUnpenalized:
         sol = fit_estimator(data, config, basis=basis)
         # univariate oracle: regress on the single projected column; the
         # design is uncentered so that omega = V gamma reproduces the fit
-        scores = theta @ basis.loadings
-        from wavelogit.glm import _irls_core
-
-        coef, intercept, _ = _irls_core(scores, y, max_iter=100, tol=1e-10)
-        assert abs(sol.gamma[0] - coef[0]) <= 1e-8
-        assert abs(sol.intercept - intercept) <= 1e-8
+        aug = np.column_stack([np.ones(n), theta @ basis.loadings])
+        coef, _ = _newton(aug, y, np.zeros(2), max_iter=100, tol=1e-10)
+        assert abs(sol.gamma[0] - coef[1]) <= 1e-8
+        assert abs(sol.intercept - coef[0]) <= 1e-8
 
     def test_matches_irls_on_materialized_design(self):
         rng = np.random.default_rng(17)
@@ -304,12 +303,10 @@ class TestReducedUnpenalized:
             config = FitConfig(estimator=estimator, lam=0.0, q=3, tau=0.0)
             basis = build_reduction(data, config)
             sol = fit_estimator(data, config, basis=basis)
-            from wavelogit.glm import _irls_core
-
-            scores = data.theta @ basis.loadings
-            coef, intercept, _ = _irls_core(scores, data.labels, max_iter=100, tol=1e-10)
-            np.testing.assert_allclose(sol.gamma, coef, atol=1e-8)
-            assert abs(sol.intercept - intercept) <= 1e-8
+            aug = np.column_stack([np.ones(data.n), data.theta @ basis.loadings])
+            coef, _ = _newton(aug, data.labels, np.zeros(4), max_iter=100, tol=1e-10)
+            np.testing.assert_allclose(sol.gamma, coef[1:], atol=1e-8)
+            assert abs(sol.intercept - coef[0]) <= 1e-8
 
     def test_nested_components_do_not_hurt_training_fit(self):
         rng = np.random.default_rng(18)

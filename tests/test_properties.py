@@ -116,11 +116,13 @@ def small_dataset(seed, n=40, d=16):
     return CurveDataset(curves=curves, labels=labels)
 
 
-def as_version_1(path, reduction):
-    """Rewrite a saved model in format version 1, which also held the reduction."""
+def as_version_1(path, data, reduction):
+    """Rewrite a saved model in format version 1, which also held a reduced
+    fit's training column means and loadings."""
     doc = json.loads(Path(path).read_text())
     doc["format_version"] = 1
-    doc["center"] = None if reduction is None else [format(v, ".17g") for v in reduction.center]
+    center = data.theta.mean(axis=0)
+    doc["center"] = None if reduction is None else [format(v, ".17g") for v in center]
     doc["loadings"] = (
         None if reduction is None else [format(v, ".17g") for v in reduction.loadings.ravel()]
     )
@@ -144,7 +146,7 @@ class TestModelFileProperties:
         path = tmp_path_factory.mktemp("model") / "m.json"
         save_model(model, str(path))
         assert np.array_equal(load_model(str(path)).predict_proba(dataset.curves), before)
-        as_version_1(path, build_reduction(data, config))
+        as_version_1(path, data, build_reduction(data, config))
         assert np.array_equal(load_model(str(path)).predict_proba(dataset.curves), before)
 
     def test_version_1_file_predicts_as_written(self):
@@ -178,6 +180,13 @@ def valid_model_doc():
     }
 
 
+# values that are well-formed JSON but out of range or of the wrong kind for
+# some field; json_values alone rarely produces them
+field_values = json_values | st.sampled_from(
+    ["nan", "inf", "-inf", "-3", "1e999", "x", [1], -4, 0, 2.5, True, None, "wnet", "wcr"]
+)
+
+
 @st.composite
 def mutated_model_docs(draw):
     doc = valid_model_doc()
@@ -185,7 +194,7 @@ def mutated_model_docs(draw):
         if draw(st.booleans()):
             doc.pop(key, None)
         else:
-            doc[key] = draw(json_values)
+            doc[key] = draw(field_values)
     return doc
 
 
@@ -224,6 +233,8 @@ class TestMalformedFiles:
         )
     )
     def test_model_loads_and_predicts_or_raises_data_error(self, tmp_path_factory, raw):
+        """A file either loads as a valid model, which saves back to the same
+        model, or fails with DataError."""
         path = tmp_path_factory.mktemp("model") / "m.json"
         path.write_bytes(raw)
         try:
@@ -231,6 +242,17 @@ class TestMalformedFiles:
         except DataError:
             return
         assert isinstance(model, FittedModel)
+        FitConfig(estimator=model.estimator, lam=model.lam, q=model.q, tau=model.tau)
+        assert model.q is None or type(model.q) is int
+        assert type(model.iterations) is int and model.iterations >= 0
+        assert np.isfinite(model.kkt_residual) and model.kkt_residual >= 0
         curves = np.linspace(-1.0, 1.0, 3 * model.d).reshape(3, model.d)
         with np.errstate(over="ignore", invalid="ignore"):
             assert model.predict_proba(curves).shape == (3,)
+        save_model(model, str(path))
+        again = load_model(str(path))
+        assert np.array_equal(again.omega, model.omega)
+        assert (again.estimator, again.lam, again.q, again.tau, again.iterations) == (
+            model.estimator, model.lam, model.q, model.tau, model.iterations
+        )
+        assert (again.intercept, again.kkt_residual) == (model.intercept, model.kkt_residual)

@@ -28,7 +28,6 @@ class TestPcaFit:
         basis = pca_fit(theta, q=1)
         np.testing.assert_allclose(basis.loadings[:, 0], [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(basis.scores_scale, [2.0], atol=1e-12)
-        np.testing.assert_allclose(basis.center, [0.0, 0.0], atol=0)
 
     def test_isotropic_spectrum(self):
         d = 6
@@ -59,7 +58,7 @@ class TestPcaFit:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((20, 8))
         basis = pca_fit(theta, q=8)
-        centered = theta - basis.center
+        centered = theta - theta.mean(axis=0)
         projected = centered @ basis.loadings
         np.testing.assert_allclose(
             np.linalg.norm(projected, axis=1), np.linalg.norm(centered, axis=1), rtol=1e-8
@@ -122,7 +121,7 @@ class TestPlsFit:
         theta = rng.standard_normal((40, 10))
         labels = planted_labels(rng, 40)
         basis = pls_fit(theta, labels, q=4)
-        centered = theta - basis.center
+        centered = theta - theta.mean(axis=0)
         residual = centered.copy()
         scores = []
         for k in range(4):
@@ -209,7 +208,7 @@ class TestSparseComponents:
 
 
 class TestReduceExpand:
-    """Reduce is (theta - center) @ V_q; expand is V_q @ gamma, with no center."""
+    """Reduce is (theta - column means) @ V_q; expand is V_q @ gamma."""
 
     def test_expand_unit_gamma_gives_column(self):
         rng = np.random.default_rng(14)
@@ -222,7 +221,7 @@ class TestReduceExpand:
         rng = np.random.default_rng(15)
         theta = rng.standard_normal((20, 8))
         basis = pca_fit(theta, q=8)
-        centered = theta - basis.center
+        centered = theta - theta.mean(axis=0)
         back = (centered @ basis.loadings) @ basis.loadings.T
         np.testing.assert_allclose(back, centered, atol=1e-8)
 
@@ -254,7 +253,6 @@ class TestLeading:
             assert sliced.kind == fresh.kind
             assert np.array_equal(sliced.loadings, fresh.loadings)
             assert np.array_equal(sliced.scores_scale, fresh.scores_scale)
-            assert np.array_equal(sliced.center, fresh.center)
             assert sliced.loadings.flags.c_contiguous == fresh.loadings.flags.c_contiguous
 
     def test_q_out_of_range(self):
@@ -271,7 +269,6 @@ class TestReducedBasisValidation:
                 loadings=np.array([[2.0], [0.0]]),
                 scores_scale=np.array([1.0]),
                 kind="pca",
-                center=np.zeros(2),
             )
 
     def test_rejects_increasing_eigenvalues(self):
@@ -280,5 +277,4 @@ class TestReducedBasisValidation:
                 loadings=np.eye(2),
                 scores_scale=np.array([1.0, 2.0]),
                 kind="pca",
-                center=np.zeros(2),
             )
