@@ -113,7 +113,6 @@ def build_parser() -> _Parser:
     _add_wavelet_flags(p)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="grid workers (0 = auto)")
 
     p = sub.add_parser("predict", help="class-1 probabilities for a dataset")
     p.add_argument("--model", required=True)
@@ -231,7 +230,7 @@ def _cmd_cv(args) -> int:
         result = select_by_aicc(data, grid)
     else:
         folds = make_folds(data.labels, args.folds, seed=args.seed)
-        result = cross_validate(data, grid, folds, n_jobs=args.threads)
+        result = cross_validate(data, grid, folds)
     best = result.best_config
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
     failed = sum(message is not None for message in result.messages)

@@ -1,17 +1,17 @@
 """Tuning-parameter selection: stratified k-fold CV and corrected AIC.
 
-Cross-validation scores each grid point by mean held-out AUC and refits
-the reduction inside every training fold, so no held-out information
-leaks into the fit.  The corrected-AIC path fits each grid
-point once on the full data, slicing one shared PCA/PLS reduction per
-estimator, and penalizes by the exact-nonzero parameter count.
+Both criteria run one grid loop, :func:`_score_grid`, which fits every
+config on one data set and slices one shared PCA/PLS reduction per
+estimator.  Cross-validation calls it once per fold, on that fold's
+training set, so the reduction is refit inside every fold and no held-out
+information leaks into the fit; it scores each grid point by mean
+held-out AUC.  The corrected-AIC path calls it once on the full data and
+penalizes by the exact-nonzero parameter count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-import os
 
 import numpy as np
 
@@ -67,6 +67,8 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
     labels = np.asarray(labels, dtype=float)
     if k < 2:
         raise DataError(f"need at least 2 folds, got k={k}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise DataError("labels must contain only 0 and 1")
     rng = np.random.default_rng(seed)
@@ -105,22 +107,6 @@ class SelectionResult:
     def best_criterion(self) -> float:
         return float(self.criteria[self.best_index])
 
-    def table(self):
-        """Rows of (estimator, lambda, q, tau, criterion, message)."""
-        rows = []
-        for config, value, message in zip(self.configs, self.criteria, self.messages):
-            rows.append(
-                {
-                    "estimator": config.estimator,
-                    "lambda": config.lam,
-                    "q": config.q,
-                    "tau": config.tau,
-                    "criterion": float(value),
-                    "message": message,
-                }
-            )
-        return rows
-
 
 def _tie_break_key(config: FitConfig, index: int):
     # prefer the sparser model: larger penalty, then fewer components,
@@ -129,70 +115,54 @@ def _tie_break_key(config: FitConfig, index: int):
     return (-config.lam, q, -config.tau, index)
 
 
-def _select_best(values: np.ndarray, configs, maximize: bool) -> int:
+def _check_grid(grid) -> tuple:
+    grid = tuple(grid)
+    if not grid:
+        raise SelectionError("the configuration grid is empty")
+    return grid
+
+
+def _selection(kind: str, grid: tuple, values: np.ndarray, messages) -> SelectionResult:
     finite = np.isfinite(values)
     if not np.any(finite):
         raise SelectionError("every grid point failed or was undefined")
-    best = np.max(values[finite]) if maximize else np.min(values[finite])
+    best = np.max(values[finite]) if kind == CRITERION_CV_AUC else np.min(values[finite])
     candidates = [i for i in np.nonzero(finite)[0] if values[i] == best]
-    return min(candidates, key=lambda i: _tie_break_key(configs[i], i))
+    return SelectionResult(
+        criterion_kind=kind,
+        configs=grid,
+        criteria=values,
+        messages=tuple(messages),
+        best_index=min(candidates, key=lambda i: _tie_break_key(grid[i], i)),
+    )
 
 
-def _cv_point(data: LabeledCoefficients, config: FitConfig, folds: FoldPlan) -> float:
-    """Fit one grid point across all folds; returns the mean held-out AUC."""
-    scores = []
+def _heldout_auc(data: LabeledCoefficients, test: np.ndarray):
+    theta, labels = data.theta[test], data.labels[test]
+    return lambda solution: auc(link_logistic(theta @ solution.omega + solution.intercept), labels)
+
+
+def cross_validate(data: LabeledCoefficients, grid, folds: FoldPlan) -> SelectionResult:
+    """Score every config by k-fold held-out AUC and pick the largest.
+
+    Grid points whose fit fails on any fold are excluded (and not fit on
+    later folds); ties go to the sparser model (larger lambda, then
+    smaller q).
+    """
+    grid = _check_grid(grid)
+    if folds.assignments.size != data.n:
+        raise DataError("fold plan was built for a different number of observations")
+    # one column per fold, not a running sum: for k >= 8 folds a running
+    # sum rounds differently from np.mean's pairwise sum of the k scores
+    scores = np.zeros((len(grid), folds.k))
+    messages = [None] * len(grid)
     for fold in range(folds.k):
         train, test = folds.split(fold)
         train_data = LabeledCoefficients(
             theta=data.theta[train], labels=data.labels[train], j0=data.j0, d=data.d
         )
-        solution = fit_estimator(train_data, config)
-        eta = data.theta[test] @ solution.omega + solution.intercept
-        scores.append(auc(link_logistic(eta), data.labels[test]))
-    return float(np.mean(scores))
-
-
-def _cv_worker(args):
-    index, data, config, folds = args
-    try:
-        return index, _cv_point(data, config, folds), None
-    except (DataError, NumericalError) as exc:
-        return index, np.nan, f"{type(exc).__name__}: {exc}"
-
-
-def cross_validate(
-    data: LabeledCoefficients, grid, folds: FoldPlan, n_jobs: int = 1
-) -> SelectionResult:
-    """Score every config by k-fold held-out AUC and pick the largest.
-
-    Grid points whose fit fails on any fold are excluded; ties go to the
-    sparser model (larger lambda, then smaller q).
-    """
-    grid = tuple(grid)
-    if not grid:
-        raise SelectionError("the configuration grid is empty")
-    if folds.assignments.size != data.n:
-        raise DataError("fold plan was built for a different number of observations")
-    values = np.full(len(grid), np.nan)
-    messages = [None] * len(grid)
-    tasks = [(i, data, config, folds) for i, config in enumerate(grid)]
-    if n_jobs == 1 or len(grid) == 1:
-        results = map(_cv_worker, tasks)
-    else:
-        workers = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cv_worker, tasks))
-    for index, value, message in results:
-        values[index] = value
-        messages[index] = message
-    best = _select_best(values, grid, maximize=True)
-    return SelectionResult(
-        criterion_kind=CRITERION_CV_AUC,
-        configs=grid,
-        criteria=values,
-        messages=tuple(messages),
-        best_index=best,
-    )
+        _score_grid(train_data, grid, _heldout_auc(data, test), scores[:, fold], messages)
+    return _selection(CRITERION_CV_AUC, grid, scores.mean(axis=1), messages)
 
 
 def aicc(solution: PenalizedSolution, data: LabeledCoefficients) -> float:
@@ -233,37 +203,38 @@ def _shared_reductions(data: LabeledCoefficients, grid) -> dict:
     return shared
 
 
-def select_by_aicc(data: LabeledCoefficients, grid) -> SelectionResult:
-    """Fit every config on the full data and pick the smallest corrected AIC.
+def _score_grid(data: LabeledCoefficients, grid, criterion, values, messages) -> None:
+    """Fit on ``data`` every config that has no message yet; store
+    ``criterion(solution)`` in ``values``.
 
-    wpcr/wpls configs share one reduction (see :func:`_shared_reductions`).
+    wpcr/wpls configs slice one shared reduction (see
+    :func:`_shared_reductions`).  A failed config gets a message and NaN,
+    or +inf when the criterion is undefined, and later calls skip it.
     """
-    grid = tuple(grid)
-    if not grid:
-        raise SelectionError("the configuration grid is empty")
-    values = np.full(len(grid), np.nan)
-    messages = [None] * len(grid)
-    shared = _shared_reductions(data, grid)
-    for index, config in enumerate(grid):
+    pending = [i for i, message in enumerate(messages) if message is None]
+    shared = _shared_reductions(data, [grid[i] for i in pending])
+    for index in pending:
+        config = grid[index]
         basis = shared.get(config.estimator)
         if basis is not None:
             basis = basis.leading(config.q) if config.q <= basis.q else None
         try:
-            solution = fit_estimator(data, config, basis=basis)
-            values[index] = aicc(solution, data)
+            values[index] = criterion(fit_estimator(data, config, basis=basis))
         except CriterionUndefinedError as exc:
             values[index] = np.inf
             messages[index] = f"{type(exc).__name__}: {exc}"
         except (DataError, NumericalError) as exc:
+            values[index] = np.nan
             messages[index] = f"{type(exc).__name__}: {exc}"
-    best = _select_best(values, grid, maximize=False)
-    return SelectionResult(
-        criterion_kind=CRITERION_AICC,
-        configs=grid,
-        criteria=values,
-        messages=tuple(messages),
-        best_index=best,
-    )
+
+
+def select_by_aicc(data: LabeledCoefficients, grid) -> SelectionResult:
+    """Fit every config on the full data and pick the smallest corrected AIC."""
+    grid = _check_grid(grid)
+    values = np.zeros(len(grid))
+    messages = [None] * len(grid)
+    _score_grid(data, grid, lambda solution: aicc(solution, data), values, messages)
+    return _selection(CRITERION_AICC, grid, values, messages)
 
 
 def default_lambda_grid(data: LabeledCoefficients, num: int = 20) -> np.ndarray:

@@ -66,6 +66,8 @@ class SynthSpec:
             raise DataError(
                 f"background_decay must lie in (0,1), got {self.background_decay}"
             )
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def d(self) -> int:

@@ -114,18 +114,6 @@ class TestWorkflow:
         assert main(["simulate", "--out", b] + SIM_ARGS) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_threads_flag_matches_serial(self, tmp_path):
-        train, _ = simulate(tmp_path)
-        serial = str(tmp_path / "s.json")
-        parallel = str(tmp_path / "p.json")
-        base = [
-            "cv", "--data", train, "--method", "wnet", "--n-lambda", "4",
-            "--j0", "2",
-        ]
-        assert main(base + ["--threads", "1", "--out", serial]) == 0
-        assert main(base + ["--threads", "2", "--out", parallel]) == 0
-        assert open(serial).read() == open(parallel).read()
-
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -203,6 +191,18 @@ class TestExitCodes:
                 "--n-per-class", counts[0], "--n-test-per-class", counts[1]]
         assert main(args) == 2
         assert "need --n-per-class >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "cv"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, command):
+        train, _ = simulate(tmp_path)
+        out = str(tmp_path / "out")
+        args = {
+            "simulate": ["simulate", "--out", out],
+            "cv": ["cv", "--data", train, "--method", "wnet", "--n-lambda", "2",
+                   "--j0", "2", "--out", out],
+        }[command]
+        assert main(args + ["--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["dataset", "model"])
     def test_non_utf8_file_is_2(self, tmp_path, capsys, kind):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from wavelogit.exceptions import CriterionUndefinedError, DataError, SelectionError
+from wavelogit.exceptions import (
+    CriterionUndefinedError,
+    DataError,
+    NumericalError,
+    SelectionError,
+)
 from wavelogit.glm import LabeledCoefficients, link_logistic, neg_log_likelihood
 from wavelogit.metrics import auc
 from wavelogit.penalized import FitConfig, PenalizedSolution, fit_estimator, lambda_max
@@ -119,8 +124,8 @@ class TestCrossValidate:
         """Flipping held-out labels changes held-out AUC but not the fits."""
         fits = []
 
-        def recording_fit(train_data, config):
-            solution = fit_estimator(train_data, config)
+        def recording_fit(train_data, config, basis=None):
+            solution = fit_estimator(train_data, config, basis=basis)
             fits.append(solution)
             return solution
 
@@ -187,15 +192,60 @@ class TestCrossValidate:
         np.testing.assert_array_equal(r1.criteria, r2.criteria)
         assert r1.best_index == r2.best_index
 
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(8)
-        data = planted_data(rng, 60)
-        folds = make_folds(data.labels, 5, seed=2)
-        grid = [FitConfig(estimator="wnet", lam=l) for l in (0.2, 1.0, 5.0)]
-        serial = cross_validate(data, grid, folds, n_jobs=1)
-        parallel = cross_validate(data, grid, folds, n_jobs=2)
-        np.testing.assert_array_equal(serial.criteria, parallel.criteria)
-        assert serial.best_index == parallel.best_index
+    @pytest.mark.parametrize("estimator", ["wpcr", "wpls"])
+    def test_shared_reduction_matches_separate_fits(self, estimator):
+        """Each fold's shared reduction gives every grid point exactly the
+        criterion and message of a fold loop where each config builds its
+        own reduction; q=35 fits the data but not a 30-curve training fold."""
+        rng = np.random.default_rng(22)
+        data = planted_data(rng, 40, d=64)
+        folds = make_folds(data.labels, 4, seed=0)
+        grid = [
+            FitConfig(estimator=estimator, lam=lam, q=q)
+            for q in (4, 1, 35, 2)
+            for lam in (0.01, 0.3)
+        ]
+        result = cross_validate(data, grid, folds)
+        for index, config in enumerate(grid):
+            scores, message = [], None
+            for fold in range(folds.k):
+                train, test = folds.split(fold)
+                train_data = LabeledCoefficients(
+                    theta=data.theta[train], labels=data.labels[train], j0=data.j0, d=data.d
+                )
+                try:
+                    sol = fit_estimator(train_data, config)
+                except (DataError, NumericalError) as exc:
+                    message = f"{type(exc).__name__}: {exc}"
+                    break
+                eta = data.theta[test] @ sol.omega + sol.intercept
+                scores.append(auc(link_logistic(eta), data.labels[test]))
+            assert result.messages[index] == message
+            if config.q == 35:
+                assert message.startswith("DataError: q=35 outside valid range")
+                assert np.isnan(result.criteria[index])
+            else:
+                assert message is None
+                assert result.criteria[index] == np.mean(scores)
+
+    def test_failed_point_is_not_refit(self, monkeypatch):
+        """A config that fails on the first fold is fit once, not once per fold."""
+        calls = []
+
+        def counting_fit(train_data, config, basis=None):
+            calls.append(config)
+            return fit_estimator(train_data, config, basis=basis)
+
+        monkeypatch.setattr("wavelogit.select.fit_estimator", counting_fit)
+        rng = np.random.default_rng(23)
+        data = planted_data(rng, 40)
+        folds = make_folds(data.labels, 4, seed=0)
+        doomed = FitConfig(estimator="wpcr", lam=0.1, q=39)
+        grid = [doomed, FitConfig(estimator="wnet", lam=0.5)]
+        result = cross_validate(data, grid, folds)
+        assert result.messages[0] is not None and result.messages[1] is None
+        assert calls.count(doomed) == 1
+        assert calls.count(grid[1]) == folds.k
 
 
 class TestAicc:
