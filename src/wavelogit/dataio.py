@@ -70,20 +70,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, lines):
+    """Write each of ``lines`` followed by a newline, then rename into place."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _dataset_lines(dataset: CurveDataset):
+    yield "label," + ",".join(f"t{j}" for j in range(1, dataset.d + 1))
+    for label, row in zip(dataset.labels, dataset.curves):
+        yield f"{int(label)}," + ",".join(_fmt(v) for v in row)
 
 
 def save_dataset(dataset: CurveDataset, path: str):
     """Write `label,t1,...,td` CSV with 17-significant-digit values."""
-    header = "label," + ",".join(f"t{j}" for j in range(1, dataset.d + 1))
-    lines = [header]
-    for label, row in zip(dataset.labels, dataset.curves):
-        lines.append(f"{int(label)}," + ",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _dataset_lines(dataset))
 
 
 def _parse_cell(path, line_no, text, what):
@@ -124,7 +132,7 @@ def load_dataset(path: str) -> CurveDataset:
         if label not in (0.0, 1.0):
             raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")
         labels.append(label)
-        rows.append([_parse_cell(path, line_no, c, "value") for c in cells[1:]])
+        rows.append(np.array([_parse_cell(path, line_no, c, "value") for c in cells[1:]]))
     if not rows:
         raise ParseError(path, 2, "no data rows")
     return CurveDataset(curves=np.array(rows, dtype=float), labels=np.array(labels, dtype=float))
@@ -163,7 +171,7 @@ def save_model(model: FittedModel, path: str):
         "kkt_residual": _fmt(model.kkt_residual),
         "iterations": model.iterations,
     }
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def _require_field(doc: dict, key: str):
@@ -221,13 +229,9 @@ def export_beta(model: FittedModel, path: str):
     """Write `t,beta` CSV sampling the fitted discriminant function."""
     beta = model.beta()
     grid = time_grid(model.d)
-    lines = ["t,beta"]
-    lines.extend(f"{_fmt(t)},{_fmt(b)}" for t, b in zip(grid, beta))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["t,beta"] + [f"{_fmt(t)},{_fmt(b)}" for t, b in zip(grid, beta)])
 
 
 def save_probabilities(probs, path: str):
     """Write a one-column `prob` CSV of class-1 probabilities."""
-    lines = ["prob"]
-    lines.extend(_fmt(p) for p in np.asarray(probs, dtype=float).ravel())
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["prob"] + _floats_out(probs))

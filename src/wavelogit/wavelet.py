@@ -237,25 +237,24 @@ def _as_batch(x, d: int, what: str) -> tuple[np.ndarray, bool]:
     return arr, squeeze
 
 
-def _gather_indices(n: int, taps: int) -> np.ndarray:
-    # window k covers samples (2k, 2k+1, ..., 2k+taps-1) mod n
-    return (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-
-
 def _analysis_step(a: np.ndarray, h: np.ndarray, g: np.ndarray):
-    idx = _gather_indices(a.shape[1], h.size)
-    windows = a[:, idx]
-    return windows @ h, windows @ g
+    # tap k reads sample 2i+k: phase k % 2, rolled left by k // 2
+    approx = np.zeros((a.shape[0], a.shape[1] // 2))
+    detail = np.zeros_like(approx)
+    for k in range(h.size):
+        x = np.roll(a[:, k % 2 :: 2], -(k // 2), axis=1)
+        approx += h[k] * x
+        detail += g[k] * x
+    return approx, detail
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np.ndarray):
-    n_obs, m = approx.shape
-    out = np.zeros((n_obs, 2 * m))
-    idx = _gather_indices(2 * m, h.size)
-    contrib = approx[:, :, None] * h[None, None, :] + detail[:, :, None] * g[None, None, :]
-    rows = np.broadcast_to(np.arange(n_obs)[:, None, None], contrib.shape)
-    cols = np.broadcast_to(idx[None, :, :], contrib.shape)
-    np.add.at(out, (rows, cols), contrib)
+    out = np.zeros((approx.shape[0], 2 * approx.shape[1]))
+    # adjoint of the analysis loop; running the taps downwards adds each
+    # output's terms in window order (window i before window i+1), except at
+    # outputs that wrap around the period, which take theirs in tap order
+    for k in range(h.size - 1, -1, -1):
+        out[:, k % 2 :: 2] += np.roll(approx * h[k] + detail * g[k], k // 2, axis=1)
     return out
 
 

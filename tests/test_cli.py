@@ -254,3 +254,27 @@ class TestExitCodes:
             json.dump(doc, fh)
         assert main(["evaluate", "--model", model_path, "--data", test]) == 2
         assert "is corrupted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "cv", "predict", "export-beta"])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, command):
+        """An --out in a missing directory fails to open; an --out naming a
+        directory fails at the rename, after the temporary file exists."""
+        train, test = simulate(tmp_path)
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
+                     "--j0", "2", "--out", model_path]) == 0
+        (tmp_path / "taken").mkdir()
+        capsys.readouterr()
+        for out in (str(tmp_path / "missing" / "x"), str(tmp_path / "taken")):
+            args = {
+                "simulate": ["simulate", "--out", out] + SIM_ARGS,
+                "fit": ["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
+                        "--j0", "2", "--out", out],
+                "cv": ["cv", "--data", train, "--method", "wnet", "--n-lambda", "2",
+                       "--j0", "2", "--out", out],
+                "predict": ["predict", "--model", model_path, "--data", test, "--out", out],
+                "export-beta": ["export-beta", "--model", model_path, "--out", out],
+            }[command]
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith(f"wavelogit: error: cannot write {out}: ")
+            assert list(tmp_path.rglob("*.tmp*")) == []

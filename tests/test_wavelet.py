@@ -1,5 +1,7 @@
 """Tests for the orthonormal discrete wavelet transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,48 @@ class TestInverseExamples:
             e = np.zeros(256)
             e[k] = 1.0
             np.testing.assert_allclose(dwt_inverse(e, b), W[k], atol=1e-12)
+
+
+def _reference_forward(x, family, j0):
+    """The periodic DWT written out from its definition, one sum at a time."""
+    h = FILTERS[family]
+    taps = len(h)
+    g = [(-1) ** k * h[taps - 1 - k] for k in range(taps)]
+    a = list(x)
+    details = []
+    while len(a) > 2**j0:
+        n = len(a)
+        approx = [sum(h[k] * a[(2 * i + k) % n] for k in range(taps)) for i in range(n // 2)]
+        detail = [sum(g[k] * a[(2 * i + k) % n] for k in range(taps)) for i in range(n // 2)]
+        details.insert(0, detail)
+        a = approx
+    return np.array(a + [c for block in details for c in block])
+
+
+class TestReference:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_forward_matches_definition(self, family):
+        """Pins the shift convention: tap k of output i reads sample 2i+k,
+        also where a level is shorter than the filter (d=8, j0=0)."""
+        rng = np.random.default_rng(5)
+        for d, j0 in ((8, 0), (8, 2), (16, 1), (32, 3)):
+            x = rng.standard_normal(d)
+            theta = dwt_forward(x, make_basis(family, j0=j0, d=d))
+            np.testing.assert_allclose(theta, _reference_forward(x, family, j0), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_peak_memory_is_a_few_batches(self, family):
+        """Neither direction holds a copy of the batch per filter tap."""
+        X = np.random.default_rng(6).standard_normal((200, 1024))
+        b = make_basis(family, j0=3, d=1024)
+        for transform in (dwt_forward, dwt_inverse):
+            tracemalloc.start()
+            try:
+                transform(X, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * X.nbytes, (transform.__name__, peak / X.nbytes)
 
 
 class TestTransformMatrix:
