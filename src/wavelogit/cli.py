@@ -1,19 +1,22 @@
 """Command-line driver: simulate, fit, cv, predict, evaluate, export-beta.
 
-Exit codes: 0 success, 1 usage error, 2 data/file error, 3 numerical
-failure. All randomness is controlled by --seed (simulate, cv); outputs are
-deterministic given identical inputs and flags.
+Exit codes: 0 success, 1 usage error, 2 data/file error or a closed
+standard output, 3 numerical failure. All randomness is controlled by
+--seed (simulate, cv); outputs are deterministic given identical inputs
+and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .dataio import (
     CurveDataset,
+    check_writable,
     export_beta,
     load_dataset,
     load_model,
@@ -157,20 +160,13 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     dataset = generate_dataset(spec)
-    per_class = n_train + n_test
-    train_rows = np.r_[0:n_train, per_class : per_class + n_train]
-    save_dataset(
-        CurveDataset(curves=dataset.curves[train_rows], labels=dataset.labels[train_rows]),
-        args.out,
-    )
-    print(f"wrote {args.out}: {2 * n_train} curves, d={args.d}")
-    if args.test_out:
-        test_rows = np.r_[n_train:per_class, per_class + n_train : 2 * per_class]
-        save_dataset(
-            CurveDataset(curves=dataset.curves[test_rows], labels=dataset.labels[test_rows]),
-            args.test_out,
-        )
-        print(f"wrote {args.test_out}: {2 * n_test} curves, d={args.d}")
+    # each class holds n_train training curves, then n_test held-out ones
+    train = np.arange(2 * (n_train + n_test)) % (n_train + n_test) < n_train
+    outputs = [(args.out, train)] + ([(args.test_out, ~train)] if args.test_out else [])
+    for path, rows in outputs:
+        save_dataset(CurveDataset(curves=dataset.curves[rows], labels=dataset.labels[rows]), path)
+    for path, rows in outputs:
+        print(f"wrote {path}: {np.count_nonzero(rows)} curves, d={args.d}")
     return 0
 
 
@@ -234,6 +230,7 @@ def _cmd_cv(args) -> int:
     best = result.best_config
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
     failed = sum(message is not None for message in result.messages)
+    _fit_and_save(data, best, basis, args.out)
     print(
         f"selected {best.estimator}: lambda={best.lam:.6g}"
         + (f", q={best.q}" if best.q is not None else "")
@@ -241,7 +238,6 @@ def _cmd_cv(args) -> int:
         + f" ({label} = {result.best_criterion:.6g} over {len(grid)} configurations"
         + (f", {failed} of {len(grid)} failed)" if failed else ")")
     )
-    _fit_and_save(data, best, basis, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -293,6 +289,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refuse an unusable output path before any work is done
+        for path in (getattr(args, "out", None), getattr(args, "test_out", None)):
+            if path:
+                check_writable(path)
         return _COMMANDS[args.command](args)
     except DataError as exc:
         print(f"wavelogit: error: {exc}", file=sys.stderr)
@@ -303,4 +303,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    """Console entry point.  Every command writes its files before it
+    prints, so a closed standard output loses only the summary: exit 2."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python docs, signal module, "Note on SIGPIPE": without this the
+        # flush at interpreter exit fails again and prints a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

@@ -7,6 +7,7 @@ the destination directory followed by an atomic rename.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -83,6 +84,18 @@ def _atomic_write(path: str, lines):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
+def check_writable(path: str):
+    """Raise the DataError that writing ``path`` would raise, writing nothing."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        open(tmp, "w").close()
+        os.remove(tmp)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _dataset_lines(dataset: CurveDataset):
     yield "label," + ",".join(f"t{j}" for j in range(1, dataset.d + 1))
     for label, row in zip(dataset.labels, dataset.curves):
@@ -121,7 +134,8 @@ def load_dataset(path: str) -> CurveDataset:
     d = len(header) - 1
     if d < 2 or d & (d - 1) != 0:
         raise ParseError(path, 1, f"curve length must be a power of two >= 2, got {d} columns")
-    labels, rows = [], []
+    # one array filled in place: per-row arrays pinned the freed lines' heap pages
+    labels, curves = [], np.empty((len(lines) - 1, d))
     for line_no, raw in enumerate(lines[1:], start=2):
         if raw == "":
             continue
@@ -131,11 +145,11 @@ def load_dataset(path: str) -> CurveDataset:
         label = _parse_cell(path, line_no, cells[0], "label")
         if label not in (0.0, 1.0):
             raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")
+        curves[len(labels)] = [_parse_cell(path, line_no, c, "value") for c in cells[1:]]
         labels.append(label)
-        rows.append(np.array([_parse_cell(path, line_no, c, "value") for c in cells[1:]]))
-    if not rows:
+    if not labels:
         raise ParseError(path, 2, "no data rows")
-    return CurveDataset(curves=np.array(rows, dtype=float), labels=np.array(labels, dtype=float))
+    return CurveDataset(curves=curves[: len(labels)], labels=np.array(labels, dtype=float))
 
 
 def _floats_out(values) -> list:

@@ -361,8 +361,7 @@ def build_reduction(data: LabeledCoefficients, config: FitConfig) -> ReducedBasi
     if config.estimator == "wpls":
         return pls_fit(data.theta, data.labels, config.q)
     kind = KIND_SPARSE_PCA if config.estimator == "wcr" else KIND_SPARSE_PLS
-    labels = None if kind == KIND_SPARSE_PCA else data.labels
-    return sparse_component_fit(data.theta, labels, config.q, config.tau, kind)
+    return sparse_component_fit(data.theta, data.labels, config.q, config.tau, kind)
 
 
 def fit_estimator(

@@ -1,14 +1,16 @@
 """Dimension reduction of the coefficient matrix: PCA, PLS, sparse variants.
 
 Each fit returns a :class:`ReducedBasis` whose loadings form the constraint
-matrix V_q used by the reduced estimators (omega = V_q @ gamma).  Sparse
-variants run a soft-thresholded rank-one alternating iteration per
-component, so a zero threshold reproduces the dense method.
+matrix V_q used by the reduced estimators (omega = V_q @ gamma).  PLS and
+sparse PLS share one NIPALS loop, which soft-thresholds each direction only
+when the threshold is positive; sparse PCA at a positive threshold runs a
+soft-thresholded rank-one alternating iteration per component.  At a zero
+threshold both sparse kinds return the dense fit bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,8 +66,8 @@ class ReducedBasis:
     def leading(self, q: int) -> "ReducedBasis":
         """The first q components.
 
-        PCA directions come from one SVD and PLS components are built in
-        sequence, so for those kinds this equals a fresh fit at q bit for bit.
+        Every kind builds its components in sequence (PCA takes them from
+        one SVD), so this equals a fresh fit at q bit for bit.
         """
         if not 1 <= q <= self.q:
             raise DataError(f"need 1 <= q <= {self.q}, got q={q}")
@@ -112,44 +114,6 @@ def pca_fit(theta, q: int) -> ReducedBasis:
     return ReducedBasis(loadings=loadings, scores_scale=eigenvalues[:q], kind=KIND_PCA)
 
 
-def _pls_direction(residual: np.ndarray, y_centered: np.ndarray, k: int) -> np.ndarray:
-    w = residual.T @ y_centered
-    norm = np.linalg.norm(w)
-    if norm < 1e-12:
-        raise RankDeficiencyError(
-            f"label covariance vanished after {k} component(s)", components_achieved=k
-        )
-    return w / norm
-
-
-def _deflate_by_scores(residual: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    # rank-one regression of every column on the score vector
-    return residual - np.outer(scores, residual.T @ scores / (scores @ scores))
-
-
-def pls_fit(theta, labels, q: int) -> ReducedBasis:
-    """NIPALS partial least squares directions for a binary response."""
-    theta = np.asarray(theta, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    _check_q(theta, q)
-    if labels.shape != (theta.shape[0],):
-        raise DimensionError("labels length must match theta rows")
-    if labels.min() == labels.max():
-        raise DataError("PLS reduction requires both classes present")
-    n = theta.shape[0]
-    residual = theta - theta.mean(axis=0)
-    y_c = labels - labels.mean()
-    loadings = np.empty((theta.shape[1], q))
-    criteria = np.empty(q)
-    for k in range(q):
-        v = _pls_direction(residual, y_c, k)
-        scores = residual @ v
-        criteria[k] = abs(scores @ y_c) / (n - 1)
-        loadings[:, k] = v
-        residual = _deflate_by_scores(residual, scores)
-    return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=KIND_PLS)
-
-
 def _threshold_direction(raw: np.ndarray, tau: float, k: int) -> np.ndarray:
     # threshold the unit-normalized direction so tau lives on loading scale
     norm = np.linalg.norm(raw)
@@ -167,26 +131,49 @@ def _threshold_direction(raw: np.ndarray, tau: float, k: int) -> np.ndarray:
     return target / t_norm
 
 
+def _nipals(theta, labels, q: int, tau: float, kind: str) -> ReducedBasis:
+    """NIPALS PLS; each covariance direction is soft-thresholded when tau > 0."""
+    theta = np.asarray(theta, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    _check_q(theta, q)
+    if labels.shape != (theta.shape[0],):
+        raise DimensionError("labels length must match theta rows")
+    if labels.min() == labels.max():
+        raise DataError("PLS reduction requires both classes present")
+    n = theta.shape[0]
+    residual = theta - theta.mean(axis=0)
+    y_c = labels - labels.mean()
+    loadings = np.empty((theta.shape[1], q))
+    criteria = np.empty(q)
+    for k in range(q):
+        w = residual.T @ y_c
+        norm = np.linalg.norm(w)
+        if norm < 1e-12:
+            raise RankDeficiencyError(
+                f"label covariance vanished after {k} component(s)", components_achieved=k
+            )
+        v = _threshold_direction(w, tau, k) if tau > 0 else w / norm
+        scores = residual @ v
+        criteria[k] = abs(scores @ y_c) / (n - 1)
+        loadings[:, k] = v
+        # rank-one regression of every column on the score vector
+        residual = residual - np.outer(scores, residual.T @ scores / (scores @ scores))
+    return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=kind)
+
+
+def pls_fit(theta, labels, q: int) -> ReducedBasis:
+    """NIPALS partial least squares directions for a binary response."""
+    return _nipals(theta, labels, q, 0.0, KIND_PLS)
+
+
 def _sparse_pca_component(residual: np.ndarray, tau: float, k: int) -> np.ndarray:
     _, _, vt = np.linalg.svd(residual, full_matrices=False)
     v = _fix_sign(vt[0])
     for _ in range(500):
-        scores = residual @ v
-        new_v = _fix_sign(_threshold_direction(residual.T @ scores, tau, k))
-        if np.linalg.norm(new_v - v) <= 1e-8:
-            v = new_v
+        v, previous = _fix_sign(_threshold_direction(residual.T @ (residual @ v), tau, k)), v
+        if np.linalg.norm(v - previous) <= 1e-8:
             break
-        v = new_v
     return v
-
-
-def _sparse_pls_component(residual: np.ndarray, y_c: np.ndarray, tau: float, k: int) -> np.ndarray:
-    w = residual.T @ y_c
-    if np.linalg.norm(w) < 1e-12:
-        raise RankDeficiencyError(
-            f"label covariance vanished after {k} component(s)", components_achieved=k
-        )
-    return _threshold_direction(w, tau, k)
 
 
 def sparse_component_fit(theta, labels, q: int, sparsity: float, kind: str) -> ReducedBasis:
@@ -194,38 +181,27 @@ def sparse_component_fit(theta, labels, q: int, sparsity: float, kind: str) -> R
 
     ``sparsity`` is compared against entries of the unit-normalized target
     direction, so useful values sit between 0 (dense) and the largest
-    absolute loading entry.
+    absolute loading entry.  At 0 the loadings and scales are those of
+    :func:`pca_fit` or :func:`pls_fit` bit for bit, under the sparse kind.
     """
     if kind not in (KIND_SPARSE_PCA, KIND_SPARSE_PLS):
         raise DataError(f"kind must be sparse_pca or sparse_pls, got {kind!r}")
-    if sparsity < 0:
+    if not sparsity >= 0:
         raise DataError(f"sparsity threshold must be >= 0, got {sparsity}")
+    if kind == KIND_SPARSE_PLS:
+        return _nipals(theta, labels, q, sparsity, kind)
+    if sparsity == 0:
+        return replace(pca_fit(theta, q), kind=kind)
     theta = np.asarray(theta, dtype=float)
     _check_q(theta, q)
     n = theta.shape[0]
     residual = theta - theta.mean(axis=0)
-    if kind == KIND_SPARSE_PLS:
-        labels = np.asarray(labels, dtype=float)
-        if labels.shape != (n,):
-            raise DimensionError("labels length must match theta rows")
-        if labels.min() == labels.max():
-            raise DataError("sparse PLS requires both classes present")
-        y_c = labels - labels.mean()
     loadings = np.empty((theta.shape[1], q))
     criteria = np.empty(q)
     for k in range(q):
-        if kind == KIND_SPARSE_PCA:
-            v = _sparse_pca_component(residual, sparsity, k)
-            scores = residual @ v
-            criteria[k] = scores @ scores / (n - 1)
-            loadings[:, k] = v
-            # projection deflation keeps tau=0 equal to successive eigenvectors
-            residual = residual - np.outer(residual @ v, v)
-        else:
-            v = _sparse_pls_component(residual, y_c, sparsity, k)
-            scores = residual @ v
-            criteria[k] = abs(scores @ y_c) / (n - 1)
-            loadings[:, k] = v
-            residual = _deflate_by_scores(residual, scores)
+        v = _sparse_pca_component(residual, sparsity, k)
+        scores = residual @ v
+        criteria[k] = scores @ scores / (n - 1)
+        loadings[:, k] = v
+        residual = residual - np.outer(scores, v)
     return ReducedBasis(loadings=loadings, scores_scale=criteria, kind=kind)
-

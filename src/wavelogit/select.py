@@ -1,8 +1,8 @@
 """Tuning-parameter selection: stratified k-fold CV and corrected AIC.
 
 Both criteria run one grid loop, :func:`_score_grid`, which fits every
-config on one data set and slices one shared PCA/PLS reduction per
-estimator.  Cross-validation calls it once per fold, on that fold's
+config on one data set and slices one shared reduction per (estimator,
+threshold) pair.  Cross-validation calls it once per fold, on that fold's
 training set, so the reduction is refit inside every fold and no held-out
 information leaks into the fit; it scores each grid point by mean
 held-out AUC.  The corrected-AIC path calls it once on the full data and
@@ -11,7 +11,7 @@ penalizes by the exact-nonzero parameter count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .penalized import (
     fit_estimator,
     lambda_max,
 )
-from .reduce import pca_fit, pls_fit
 
 CRITERION_CV_AUC = "cv_auc"
 CRITERION_AICC = "aicc"
@@ -186,20 +185,23 @@ def aicc(solution: PenalizedSolution, data: LabeledCoefficients) -> float:
 
 
 def _shared_reductions(data: LabeledCoefficients, grid) -> dict:
-    """One PCA/PLS reduction per wpcr/wpls estimator in the grid.
+    """One reduction per (estimator, tau) pair in the grid, keyed by it.
 
-    Each is built at the largest q of the grid that builds, so every
+    Each is built at the largest q of its configs that builds, so every
     config with a smaller or equal q slices it instead of refitting; a
     config with a larger q builds its own and fails as it would alone.
+    Estimators without a reduction map to None.
     """
     shared = {}
-    for estimator in ("wpcr", "wpls"):
-        for q in sorted({c.q for c in grid if c.estimator == estimator}, reverse=True):
+    # a reduction does not depend on lambda, so each (estimator, tau, q) is tried once
+    configs = dict.fromkeys(replace(config, lam=0.0) for config in grid)
+    for config in sorted(configs, key=lambda c: c.q or 0, reverse=True):
+        key = (config.estimator, config.tau)
+        if key not in shared:
             try:
-                shared[estimator] = build_reduction(data, FitConfig(estimator=estimator, q=q))
-                break
+                shared[key] = build_reduction(data, config)
             except (DataError, NumericalError):
-                continue
+                pass
     return shared
 
 
@@ -207,7 +209,7 @@ def _score_grid(data: LabeledCoefficients, grid, criterion, values, messages) ->
     """Fit on ``data`` every config that has no message yet; store
     ``criterion(solution)`` in ``values``.
 
-    wpcr/wpls configs slice one shared reduction (see
+    Reduced configs slice one shared reduction (see
     :func:`_shared_reductions`).  A failed config gets a message and NaN,
     or +inf when the criterion is undefined, and later calls skip it.
     """
@@ -215,7 +217,7 @@ def _score_grid(data: LabeledCoefficients, grid, criterion, values, messages) ->
     shared = _shared_reductions(data, [grid[i] for i in pending])
     for index in pending:
         config = grid[index]
-        basis = shared.get(config.estimator)
+        basis = shared.get((config.estimator, config.tau))
         if basis is not None:
             basis = basis.leading(config.q) if config.q <= basis.q else None
         try:
@@ -254,12 +256,10 @@ def default_q_grid(n: int, d: int):
 
 
 def default_tau_grid(data: LabeledCoefficients, estimator: str, q: int):
-    """{0, tau_med, 2*tau_med}, tau_med = median |entry| of the dense loadings."""
-    if estimator == "wcr":
-        basis = pca_fit(data.theta, q)
-    elif estimator == "wls":
-        basis = pls_fit(data.theta, data.labels, q)
-    else:
+    """{0, tau_med, 2*tau_med}, tau_med = median |entry| of the dense loadings
+    (the reduction at tau = 0)."""
+    if estimator not in ("wcr", "wls"):
         raise DataError(f"tau grid only applies to wcr/wls, not {estimator!r}")
+    basis = build_reduction(data, FitConfig(estimator=estimator, q=q))
     tau_med = float(np.median(np.abs(basis.loadings)))
     return (0.0, tau_med, 2.0 * tau_med)

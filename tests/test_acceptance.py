@@ -311,7 +311,7 @@ def test_criterion_6_synthetic_analogue(planted_replicates):
 
 
 def test_criterion_7_reduction_sanity():
-    """PCA invariants on 200 matrices; tau=0 sparse == dense; WPCR at q=d,
+    """PCA invariants on 200 matrices; tau=0 sparse == dense bit for bit; WPCR at q=d,
     lambda=0 matches WNET lambda=0 NLL to 1e-6."""
     rng = np.random.default_rng(107)
     for _ in range(200):
@@ -331,10 +331,10 @@ def test_criterion_7_reduction_sanity():
         y = (np.arange(30) % 2).astype(float)
         dense_pca = pca_fit(theta, 3)
         sparse_pca = sparse_component_fit(theta, None, 3, 0.0, KIND_SPARSE_PCA)
-        np.testing.assert_allclose(sparse_pca.loadings, dense_pca.loadings, atol=1e-8)
+        np.testing.assert_array_equal(sparse_pca.loadings, dense_pca.loadings)
         dense_pls = pls_fit(theta, y, 3)
         sparse_pls = sparse_component_fit(theta, y, 3, 0.0, KIND_SPARSE_PLS)
-        np.testing.assert_allclose(sparse_pls.loadings, dense_pls.loadings, atol=1e-8)
+        np.testing.assert_array_equal(sparse_pls.loadings, dense_pls.loadings)
     rng = np.random.default_rng(10)
     theta = rng.standard_normal((120, 16))
     w = rng.standard_normal(16) * 0.6 / 4.0

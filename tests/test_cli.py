@@ -257,8 +257,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "cv", "predict", "export-beta"])
     def test_unwritable_out_is_2(self, tmp_path, capsys, command):
-        """An --out in a missing directory fails to open; an --out naming a
-        directory fails at the rename, after the temporary file exists."""
+        """An --out in a missing directory or naming a directory is refused
+        with the writers' message, and no temporary file is left."""
         train, test = simulate(tmp_path)
         model_path = str(tmp_path / "m.json")
         assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
@@ -278,3 +278,44 @@ class TestExitCodes:
             assert main(args) == 2
             assert capsys.readouterr().err.startswith(f"wavelogit: error: cannot write {out}: ")
             assert list(tmp_path.rglob("*.tmp*")) == []
+
+    def test_cv_checks_out_before_fitting(self, tmp_path, capsys, monkeypatch):
+        train, _ = simulate(tmp_path)
+        fits = []
+        monkeypatch.setattr("wavelogit.select.fit_estimator", lambda *a, **k: fits.append(a))
+        monkeypatch.setattr("wavelogit.cli.fit_estimator", lambda *a, **k: fits.append(a))
+        out = str(tmp_path / "missing" / "m.json")
+        args = ["cv", "--data", train, "--method", "wnet", "--j0", "2", "--out", out]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"wavelogit: error: cannot write {out}: ")
+        assert fits == []
+
+    def test_simulate_unwritable_test_out_leaves_no_file(self, tmp_path, capsys):
+        train = tmp_path / "a.csv"
+        test = tmp_path / "missing" / "b.csv"
+        assert main(["simulate", "--out", str(train), "--test-out", str(test)] + SIM_ARGS) == 2
+        assert capsys.readouterr().err.startswith(f"wavelogit: error: cannot write {test}: ")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "cv"])
+    def test_closed_stdout_is_2_after_writing(self, tmp_path, command):
+        """A reader that has gone away (``| head -0``) costs only the summary:
+        the files are written, exit 2, and no traceback."""
+        train, _ = simulate(tmp_path)
+        out = tmp_path / "out"
+        args = {
+            "simulate": ["simulate", "--out", str(out)] + SIM_ARGS,
+            "cv": ["cv", "--data", train, "--method", "wnet", "--n-lambda", "2",
+                   "--j0", "2", "--out", str(out)],
+        }[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "wavelogit", *args], stdout=write_end,
+                stderr=subprocess.PIPE, env=CHILD_ENV, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (2, "")
+        (load_dataset if command == "simulate" else load_model)(str(out))

@@ -1,4 +1,5 @@
-"""Property tests: transform, AUC, soft-threshold, model files and malformed input.
+"""Property tests: transform, AUC, soft-threshold, sparse reductions, model
+files and malformed input.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so the suite stays deterministic.
@@ -18,11 +19,11 @@ from wavelogit.dataio import (
     save_model,
     to_coefficients,
 )
-from wavelogit.exceptions import DataError
+from wavelogit.exceptions import DataError, NumericalError
 from wavelogit.metrics import auc
 from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import ESTIMATORS, FitConfig, build_reduction, fit_estimator
-from wavelogit.reduce import soft_threshold
+from wavelogit.reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, sparse_component_fit
 from wavelogit.wavelet import FILTERS, dwt_forward, dwt_inverse, make_basis
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -107,6 +108,43 @@ class TestSoftThresholdProperties:
         twice = soft_threshold(soft_threshold(x, a), b)
         once = soft_threshold(x, a + b)
         np.testing.assert_allclose(twice, once, rtol=0, atol=1e-15 * max(1.0, np.max(np.abs(x))))
+
+
+class TestSparseReductionProperties:
+    @fixed(80)
+    @given(
+        st.sampled_from([KIND_SPARSE_PCA, KIND_SPARSE_PLS]),
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 30),
+        st.integers(2, 24),
+        st.floats(1e-3, 0.9),
+        st.data(),
+    )
+    def test_leading_equals_fresh_fit(self, kind, seed, n, d, tau, data):
+        """Components are built in sequence, so the fit at q_max sliced to q
+        is the fit at q bit for bit, and a fit that fails at q fails at q_max."""
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
+        labels = (np.arange(n) % 2).astype(float)
+        q_max = data.draw(st.integers(2, min(n - 1, d)))
+        q = data.draw(st.integers(1, q_max - 1))
+
+        def fit(components):
+            try:
+                return sparse_component_fit(theta, labels, components, tau, kind)
+            except (DataError, NumericalError) as exc:
+                return type(exc)
+
+        full, fresh = fit(q_max), fit(q)
+        if isinstance(fresh, type):
+            assert full is fresh
+        elif isinstance(full, type):
+            return
+        else:
+            sliced = full.leading(q)
+            assert sliced.kind == fresh.kind
+            assert np.array_equal(sliced.loadings, fresh.loadings)
+            assert np.array_equal(sliced.scores_scale, fresh.scores_scale)
 
 
 def small_dataset(seed, n=40, d=16):

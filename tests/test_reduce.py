@@ -149,7 +149,9 @@ class TestSparseComponents:
         theta = rng.standard_normal((30, 12)) * rng.uniform(0.5, 2.5, size=12)
         dense = pca_fit(theta, q=4)
         sparse = sparse_component_fit(theta, None, q=4, sparsity=0.0, kind=KIND_SPARSE_PCA)
-        np.testing.assert_allclose(sparse.loadings, dense.loadings, atol=1e-8)
+        assert sparse.kind == KIND_SPARSE_PCA
+        np.testing.assert_array_equal(sparse.loadings, dense.loadings)
+        np.testing.assert_array_equal(sparse.scores_scale, dense.scores_scale)
 
     def test_tau_zero_matches_dense_pls(self):
         rng = np.random.default_rng(9)
@@ -157,7 +159,9 @@ class TestSparseComponents:
         labels = planted_labels(rng, 40)
         dense = pls_fit(theta, labels, q=3)
         sparse = sparse_component_fit(theta, labels, q=3, sparsity=0.0, kind=KIND_SPARSE_PLS)
-        np.testing.assert_allclose(sparse.loadings, dense.loadings, atol=1e-8)
+        assert sparse.kind == KIND_SPARSE_PLS
+        np.testing.assert_array_equal(sparse.loadings, dense.loadings)
+        np.testing.assert_array_equal(sparse.scores_scale, dense.scores_scale)
 
     def test_single_active_coordinate(self):
         rng = np.random.default_rng(10)
@@ -205,6 +209,14 @@ class TestSparseComponents:
     def test_bad_kind_rejected(self):
         with pytest.raises(DataError):
             sparse_component_fit(np.zeros((4, 3)), None, q=1, sparsity=0.0, kind="pca")
+
+    @pytest.mark.parametrize("kind", [KIND_SPARSE_PCA, KIND_SPARSE_PLS])
+    @pytest.mark.parametrize("sparsity", [-0.1, float("nan")])
+    def test_bad_sparsity_rejected(self, kind, sparsity):
+        rng = np.random.default_rng(14)
+        theta = rng.standard_normal((10, 4))
+        with pytest.raises(DataError, match="sparsity threshold must be >= 0"):
+            sparse_component_fit(theta, planted_labels(rng, 10), q=2, sparsity=sparsity, kind=kind)
 
 
 class TestReduceExpand:

@@ -23,6 +23,16 @@ from wavelogit.select import (
 )
 
 
+def shared_grid(estimator, qs):
+    """Configs of one estimator over ``qs``: two penalties for wpcr/wpls,
+    a dense and a sparse reduction (tau 0 and 0.1) for wcr/wls."""
+    if estimator in ("wpcr", "wpls"):
+        pairs = ((0.01, 0.0), (0.3, 0.0))
+    else:
+        pairs = ((0.0, 0.0), (0.0, 0.1))
+    return [FitConfig(estimator=estimator, lam=lam, q=q, tau=tau) for q in qs for lam, tau in pairs]
+
+
 def planted_data(rng, n, d=16, j0=2, coords=(6, 11), effects=(1.4, -1.1)):
     theta = rng.standard_normal((n, d))
     w = np.zeros(d)
@@ -192,7 +202,7 @@ class TestCrossValidate:
         np.testing.assert_array_equal(r1.criteria, r2.criteria)
         assert r1.best_index == r2.best_index
 
-    @pytest.mark.parametrize("estimator", ["wpcr", "wpls"])
+    @pytest.mark.parametrize("estimator", ["wpcr", "wpls", "wcr", "wls"])
     def test_shared_reduction_matches_separate_fits(self, estimator):
         """Each fold's shared reduction gives every grid point exactly the
         criterion and message of a fold loop where each config builds its
@@ -200,11 +210,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(22)
         data = planted_data(rng, 40, d=64)
         folds = make_folds(data.labels, 4, seed=0)
-        grid = [
-            FitConfig(estimator=estimator, lam=lam, q=q)
-            for q in (4, 1, 35, 2)
-            for lam in (0.01, 0.3)
-        ]
+        grid = shared_grid(estimator, (4, 1, 35, 2))
         result = cross_validate(data, grid, folds)
         for index, config in enumerate(grid):
             scores, message = [], None
@@ -332,13 +338,13 @@ class TestSelectByAicc:
             agree += abs(cv_idx - aicc_idx) <= 1
         assert agree >= 7
 
-    @pytest.mark.parametrize("estimator", ["wpcr", "wpls"])
+    @pytest.mark.parametrize("estimator", ["wpcr", "wpls", "wcr", "wls"])
     def test_shared_reduction_matches_separate_fits(self, estimator):
         """One reduction sliced per q gives every grid point exactly the
         criterion of a fit that builds its own reduction."""
         rng = np.random.default_rng(20)
         data = planted_data(rng, 60)
-        grid = [FitConfig(estimator=estimator, lam=lam, q=q) for q in (4, 1, 2) for lam in (0.01, 0.3)]
+        grid = shared_grid(estimator, (4, 1, 2))
         result = select_by_aicc(data, grid)
         for config, value in zip(grid, result.criteria):
             assert value == aicc(fit_estimator(data, config), data)
