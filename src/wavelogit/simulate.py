@@ -90,6 +90,7 @@ def generate_dataset(spec: SynthSpec) -> CurveDataset:
     if spec.true_support:
         coeffs[spec.n_per_class :, list(spec.true_support)] += np.asarray(spec.effect_sizes)
     curves = dwt_inverse(coeffs, spec.basis)
+    del coeffs  # so the noise below is drawn without the coefficients held
     curves = curves + spec.noise_sd * rng.standard_normal((n, spec.d))
     return CurveDataset(curves=curves, labels=labels)
 

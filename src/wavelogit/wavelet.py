@@ -155,6 +155,11 @@ FILTERS: dict[str, tuple[float, ...]] = {
 DEFAULT_FAMILY = "db4"
 DEFAULT_J0 = 3
 
+# values per block of rows that a batch transform works on at a time: every
+# level step is per row, so the blocks give the same bits as the whole batch,
+# and the temporaries stay a few blocks in size however many rows there are
+_BLOCK_VALUES = 64 * 1024
+
 
 def _is_power_of_two(d: int) -> bool:
     return d >= 2 and (d & (d - 1)) == 0
@@ -258,31 +263,40 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np
     return out
 
 
+def _row_blocks(batch: np.ndarray, out: np.ndarray):
+    """Yield matching blocks of rows of ``batch`` and ``out``, each about
+    ``_BLOCK_VALUES`` values."""
+    rows = max(1, _BLOCK_VALUES // batch.shape[1])
+    for start in range(0, batch.shape[0], rows):
+        yield batch[start : start + rows], out[start : start + rows]
+
+
 def dwt_forward(x, basis: WaveletBasis) -> np.ndarray:
     """Wavelet coefficients of ``x`` (one signal, or one per row of a matrix)."""
-    a, squeeze = _as_batch(x, basis.d, "signal")
+    batch, squeeze = _as_batch(x, basis.d, "signal")
     h, g = _filter_pair(basis)
-    details = []
-    while a.shape[1] > basis.n_scale:
-        a, det = _analysis_step(a, h, g)
-        details.append(det)
-    theta = np.concatenate([a] + details[::-1], axis=1)
+    theta = np.empty(batch.shape)
+    for a, out in _row_blocks(batch, theta):
+        while a.shape[1] > basis.n_scale:
+            m = a.shape[1] // 2
+            a, out[:, m : 2 * m] = _analysis_step(a, h, g)
+        out[:, : basis.n_scale] = a
     return theta[0] if squeeze else theta
 
 
 def dwt_inverse(theta, basis: WaveletBasis) -> np.ndarray:
     """Reconstruct the signal(s) whose coefficient vector(s) are ``theta``."""
-    arr, squeeze = _as_batch(theta, basis.d, "coefficient vector")
+    batch, squeeze = _as_batch(theta, basis.d, "coefficient vector")
     h, g = _filter_pair(basis)
-    m = basis.n_scale
-    a = arr[:, :m]
-    pos = m
-    while pos < basis.d:
-        det = arr[:, pos : pos + m]
-        a = _synthesis_step(a, det, h, g)
-        pos += m
-        m *= 2
-    return a[0] if squeeze else a
+    x = np.empty(batch.shape)
+    for block, out in _row_blocks(batch, x):
+        m = basis.n_scale
+        a = block[:, :m]
+        while m < basis.d:
+            a = _synthesis_step(a, block[:, m : 2 * m], h, g)
+            m *= 2
+        out[:] = a
+    return x[0] if squeeze else x
 
 
 def transform_matrix(basis: WaveletBasis) -> np.ndarray:

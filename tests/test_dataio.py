@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, model persistence, and exports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import FitConfig, fit_estimator
 from wavelogit.simulate import SynthSpec, generate_dataset
 from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
+
+# every boundary str.splitlines splits on, "\r\n" counting as one
+LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def tiny_dataset(rng=None, n=12, d=16):
@@ -155,6 +159,66 @@ class TestDatasetCsv:
             fh.write("label,t1,t2,t3,t4\n")
         with pytest.raises(ParseError):
             load_dataset(header)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("label,t1,t2,t3,t4\n", 2),
+            ("label,t1,t2,t3,t4", 2),
+            ("label,t1,t2,t3,t4\n\n\r\n\x0c", 2),
+        ],
+    )
+    def test_files_without_rows_name_their_line(self, tmp_path, text, line):
+        path = tmp_path / "short.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as info:
+            load_dataset(str(path))
+        assert info.value.line == line
+
+    def test_peak_memory_is_the_curves(self, tmp_path):
+        """The reader holds one copy of the curves and a chunk of text, never
+        the whole text or its list of lines."""
+        path = str(tmp_path / "big.csv")
+        save_dataset(tiny_dataset(n=400, d=1024), path)
+        tracemalloc.start()
+        try:
+            back = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= back.curves.nbytes + 2**20, peak - back.curves.nbytes
+
+    @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+    def test_every_splitlines_boundary_ends_a_row(self, tmp_path, boundary):
+        """Rows end wherever str.splitlines splits; blank lines are skipped and
+        the last row needs no terminator."""
+        path = tmp_path / "rows.csv"
+        path.write_bytes(boundary.join(["label,t1,t2", "0,1,2", "", "1,3,4"]).encode())
+        back = load_dataset(str(path))
+        np.testing.assert_array_equal(back.curves, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(back.labels, [0.0, 1.0])
+
+    @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+    def test_boundary_inside_a_row_names_its_line(self, tmp_path, boundary):
+        path = tmp_path / "split.csv"
+        path.write_bytes(("label,t1,t2\n0,1,2\n\n1,3" + boundary + "4\n").encode())
+        with pytest.raises(ParseError) as info:
+            load_dataset(str(path))
+        assert info.value.line == 4
+        assert "expected 3 values, found 2" in str(info.value)
+
+    def test_bad_utf8_after_a_bad_cell_is_reported_first(self, tmp_path):
+        """The whole file is decoded before any row is parsed, however far
+        past the first bad cell the undecodable byte lies."""
+        rows = "\n".join("0," + ",".join(["1.5"] * 1024) for _ in range(40))
+        path = tmp_path / "mixed.csv"
+        text = "label," + ",".join(f"t{j}" for j in range(1, 1025)) + "\n0,oops" + ",1" * 1023
+        path.write_bytes((text + "\n" + rows + "\n").encode() + b"\xff\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(str(path))
+        assert not isinstance(info.value, ParseError)
+        assert "not UTF-8 text" in str(info.value)
 
 
 class TestModelFile:

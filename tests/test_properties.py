@@ -1,5 +1,5 @@
-"""Property tests: transform, AUC, soft-threshold, sparse reductions, model
-files and malformed input.
+"""Property tests: transform, AUC, soft-threshold, sparse reductions, chunked
+reading, model files and malformed input.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so the suite stays deterministic.
@@ -9,9 +9,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wavelogit import dataio
 from wavelogit.dataio import (
     CurveDataset,
     load_dataset,
@@ -246,6 +248,22 @@ def csv_like_text():
         st.lists(row, max_size=5),
         st.sampled_from(["\n", "\r\n", "\r"]),
     )
+
+
+class TestChunkedRead:
+    @fixed(100)
+    @given(st.text(st.sampled_from("ab,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), max_size=40))
+    def test_lines_equal_splitlines_at_every_chunk_size(self, tmp_path_factory, text):
+        """Whatever the read size, the reader yields what splitlines gives for
+        the whole text, including a "\r\n" split across two reads."""
+        path = tmp_path_factory.mktemp("text") / "data.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            expected = fh.read().splitlines()
+        for chars in range(1, len(text) + 2):
+            with pytest.MonkeyPatch.context() as patch, open(path, encoding="utf-8") as fh:
+                patch.setattr(dataio, "_READ_CHARS", chars)
+                assert list(dataio._text_lines(fh)) == expected, chars
 
 
 class TestMalformedFiles:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wavelogit import wavelet
 from wavelogit.exceptions import DataError, DimensionError
 from wavelogit.wavelet import (
     FILTERS,
@@ -171,6 +172,43 @@ class TestReference:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * X.nbytes, (transform.__name__, peak / X.nbytes)
+
+
+class TestRowBlocks:
+    """A batch is transformed a block of rows at a time, into one output."""
+
+    D = 4096
+    ROWS = wavelet._BLOCK_VALUES // D
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    def test_every_row_is_its_own_transform(self, family, n):
+        X = np.random.default_rng(n).standard_normal((n, self.D))
+        b = make_basis(family, j0=3, d=self.D)
+        for transform in (dwt_forward, dwt_inverse):
+            batch = transform(X, b)
+            assert batch.shape == X.shape
+            for i in range(n):
+                row = transform(X[i], b)
+                assert row.shape == (self.D,)
+                np.testing.assert_array_equal(batch[i], row)
+
+    @pytest.mark.parametrize("transform", [dwt_forward, dwt_inverse])
+    def test_temporaries_do_not_grow_with_the_batch(self, transform):
+        b = make_basis("db8", j0=3, d=1024)
+        extra = []
+        for n in (200, 2000):
+            X = np.random.default_rng(n).standard_normal((n, 1024))
+            tracemalloc.start()
+            try:
+                out = transform(X, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        # the slack covers the interpreter's free lists of small objects (up
+        # to about 100 KB); a temporary of one level of the batch adds megabytes
+        assert extra[1] <= extra[0] + 2**17, extra
 
 
 class TestTransformMatrix:
