@@ -11,7 +11,6 @@ import errno
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -25,10 +24,6 @@ from .wavelet import WaveletBasis, dwt_forward
 # version 1 files also hold a reduced fit's "center" and "loadings"; loading
 # still reads them and ignores those two keys
 MODEL_FORMAT_VERSION = 2
-
-# characters per read of a dataset file: the reader holds about this much
-# text, whatever the file's size
-_READ_CHARS = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -124,69 +119,57 @@ def _parse_cell(path, line_no, text, what):
 
 
 def _text_lines(fh):
-    """Yield the lines ``fh.read().splitlines()`` would hold, reading
-    ``_READ_CHARS`` characters at a time.
+    """Yield the lines ``fh.read().splitlines()`` would hold, one at a time.
 
-    ``fh`` reads with universal newlines, which turn every line boundary into
-    one character, so no boundary straddles two reads: the unterminated tail
-    of one read is the start of the next line.
+    ``fh`` reads with universal newlines, so each line it yields holds at
+    most one newline, at its end; ``splitlines`` splits it at every other
+    boundary it knows, such as a form feed or ``U+2028``.
     """
-    tail = ""
-    while chunk := fh.read(_READ_CHARS):
-        # the "#" ends the last piece: the unterminated tail, or nothing when
-        # the text ends in a line boundary
-        *lines, tail = (tail + chunk + "#").splitlines()
-        tail = tail[:-1]
-        yield from lines
-    if tail:
-        yield tail
-
-
-@contextmanager
-def _reading_lines(path: str):
-    """Open a dataset file as its ``_text_lines``; failures to read or decode
-    it, while opening or reading, raise DataError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield _text_lines(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"dataset file {path} is not UTF-8 text: {exc}") from None
+    for line in fh:
+        yield from line.splitlines()
 
 
 def load_dataset(path: str) -> CurveDataset:
     """Parse a curve CSV; errors name the offending line.
 
-    The file is read twice in chunks, never whole: the first pass decodes all
-    of it, so a read or decoding error wins over any parse error, and counts
-    its lines; the second parses them into one preallocated array.
+    The file is read twice, one line at a time, never whole: the first pass
+    decodes all of it, so a read or decoding error wins over any parse
+    error, and counts its lines; the second parses them into one
+    preallocated array. The file is closed when this returns or raises.
     """
-    with _reading_lines(path) as lines:
-        header = next(lines, None)
-        n_lines = sum(1 for _ in lines)
-    if header is None:
-        raise ParseError(path, 1, "file is empty")
-    header = header.split(",")
-    if header[0].strip() != "label":
-        raise ParseError(path, 1, "header must start with 'label'")
-    d = len(header) - 1
-    if d < 2 or d & (d - 1) != 0:
-        raise ParseError(path, 1, f"curve length must be a power of two >= 2, got {d} columns")
-    labels, curves = [], np.empty((n_lines, d))
-    with _reading_lines(path) as lines:
-        # skip the header; lines the file gained since it was counted find no row
-        for line_no, raw in enumerate(islice(lines, 1, n_lines + 1), start=2):
-            if raw == "":
-                continue
-            cells = raw.split(",")
-            if len(cells) != d + 1:
-                raise ParseError(path, line_no, f"expected {d + 1} values, found {len(cells)}")
-            label = _parse_cell(path, line_no, cells[0], "label")
-            if label not in (0.0, 1.0):
-                raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")
-            curves[len(labels)] = [_parse_cell(path, line_no, c, "value") for c in cells[1:]]
-            labels.append(label)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _text_lines(fh)
+            header = next(lines, None)
+            n_lines = sum(1 for _ in lines)
+            if header is None:
+                raise ParseError(path, 1, "file is empty")
+            header = header.split(",")
+            if header[0].strip() != "label":
+                raise ParseError(path, 1, "header must start with 'label'")
+            d = len(header) - 1
+            if d < 2 or d & (d - 1) != 0:
+                raise ParseError(
+                    path, 1, f"curve length must be a power of two >= 2, got {d} columns"
+                )
+            labels, curves = [], np.empty((n_lines, d))
+            fh.seek(0)
+            # skip the header; lines the file gained since it was counted find no row
+            for line_no, raw in enumerate(islice(_text_lines(fh), 1, n_lines + 1), start=2):
+                if raw == "":
+                    continue
+                cells = raw.split(",")
+                if len(cells) != d + 1:
+                    raise ParseError(path, line_no, f"expected {d + 1} values, found {len(cells)}")
+                label = _parse_cell(path, line_no, cells[0], "label")
+                if label not in (0.0, 1.0):
+                    raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")
+                curves[len(labels)] = [_parse_cell(path, line_no, c, "value") for c in cells[1:]]
+                labels.append(label)
+    except OSError as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset file {path} is not UTF-8 text: {exc}") from None
     if not labels:
         raise ParseError(path, 2, "no data rows")
     return CurveDataset(curves=curves[: len(labels)], labels=np.array(labels, dtype=float))

@@ -43,7 +43,7 @@ class ConvergenceError(NumericalError):
 
 
 class SingularityError(NumericalError):
-    """A linear system was singular beyond the jittered fallback."""
+    """A Newton system was singular even with its fixed 1e-10 ridge."""
 
 
 class SeparationError(NumericalError):

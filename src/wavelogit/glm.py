@@ -100,12 +100,10 @@ def link_logistic(eta):
     exactly 0 or 1; the clamp only binds for |eta| > ~34.5.
     """
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, 1e-15, 1.0 - 1e-15)
+    # exp(-|eta|) never overflows; np.minimum keeps a NaN's sign, which
+    # -np.abs would flip
+    ez = np.exp(np.minimum(eta, -eta))
+    out = np.clip(np.where(eta >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez)), 1e-15, 1.0 - 1e-15)
     return float(out) if out.ndim == 0 else out
 
 

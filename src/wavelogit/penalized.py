@@ -133,19 +133,15 @@ def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam: float, pen: np.ndarra
     """Sup-norm violation of the l1 stationarity conditions.
 
     ``pen`` marks the penalized coordinates of the augmented vector; the
-    rest must have zero gradient at an optimum.
+    rest must have zero gradient at an optimum. A penalized zero violates
+    by how far |g| passes ``lam``, a penalized nonzero by |g + lam sign(b)|.
     """
-    res = 0.0
-    free = ~pen
-    if np.any(free):
-        res = float(np.max(np.abs(grad[free])))
-    zero = pen & (beta == 0.0)
-    if np.any(zero):
-        res = max(res, float(np.max(np.abs(grad[zero]) - lam, initial=0.0)))
-    active = pen & (beta != 0.0)
-    if np.any(active):
-        res = max(res, float(np.max(np.abs(grad[active] + lam * np.sign(beta[active])))))
-    return res
+    violation = np.where(
+        pen,
+        np.where(beta == 0.0, np.abs(grad) - lam, np.abs(grad + lam * np.sign(beta))),
+        np.abs(grad),
+    )
+    return float(np.max(violation, initial=0.0))
 
 
 def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:

@@ -1,7 +1,10 @@
 """Tests for CSV ingestion, model persistence, and exports."""
 
+import gc
 import json
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -177,7 +180,7 @@ class TestDatasetCsv:
         assert info.value.line == line
 
     def test_peak_memory_is_the_curves(self, tmp_path):
-        """The reader holds one copy of the curves and a chunk of text, never
+        """The reader holds one copy of the curves and a line of text, never
         the whole text or its list of lines."""
         path = str(tmp_path / "big.csv")
         save_dataset(tiny_dataset(n=400, d=1024), path)
@@ -219,6 +222,30 @@ class TestDatasetCsv:
             load_dataset(str(path))
         assert not isinstance(info.value, ParseError)
         assert "not UTF-8 text" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"",
+            b"lbl,t1,t2\n0,1,2\n",
+            b"label,t1,t2\n0,1,2\n1,x,3\n",
+            b"label,t1,t2\n0,1,2\n\xff\n",
+        ],
+        ids=["empty", "bad-header", "bad-cell", "not-utf8"],
+    )
+    def test_no_file_left_open_after_an_error(self, tmp_path, monkeypatch, raw):
+        """The file is closed when load_dataset raises, not when the error's
+        traceback is collected: no ResourceWarning reaches the hook."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError):
+                load_dataset(str(path))
+            gc.collect()
+        assert [u.exc_type for u in unraisable] == []
 
 
 class TestModelFile:

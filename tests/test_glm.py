@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavelogit.exceptions import ConvergenceError, DataError, DimensionError
+from wavelogit.exceptions import ConvergenceError, DataError, DimensionError, SingularityError
 from wavelogit.glm import (
     LabeledCoefficients,
     LinearModelState,
@@ -25,6 +25,19 @@ def random_instance(rng, n=30, d=6, scale=1.0):
         y[0] = 1.0 - y[0]
     data = LabeledCoefficients(theta=theta, labels=y, j0=1, d=d)
     return state, data
+
+
+def two_branch_link(eta):
+    """The link as two masked branches: 1/(1 + e^-eta) where eta >= 0 and
+    e^eta/(1 + e^eta) elsewhere, then the clamp."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    out = np.clip(out, 1e-15, 1.0 - 1e-15)
+    return float(out) if out.ndim == 0 else out
 
 
 class TestLabeledCoefficients:
@@ -93,6 +106,30 @@ class TestLink:
         eta = np.linspace(-30, 30, 2001)
         p = link_logistic(eta)
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+    def test_bits_equal_two_branch_formula(self):
+        """Signed zeros, infinities, NaN of either sign, the clamp's edges,
+        the float range's edges and random values give the two-branch
+        formula's bits, and a scalar or 0-d input still gives a float;
+        nothing overflows or is invalid (exp(-710) underflows in both forms)."""
+        rng = np.random.default_rng(13)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        special += [34.5, -34.5, 710.0, -710.0, 1e-300, -1e-300]
+        vectors = [
+            np.array(special),
+            rng.uniform(-50, 50, size=5000),
+            rng.standard_normal((40, 3)) * 10.0,
+            np.empty(0),
+        ]
+        with np.errstate(all="raise", under="ignore"):
+            for eta in vectors:
+                got, want = link_logistic(eta), two_branch_link(eta)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for value in special:
+                for eta in (value, np.float64(value), np.array(value)):
+                    got, want = link_logistic(eta), two_branch_link(eta)
+                    assert type(got) is float
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), value
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
@@ -225,6 +262,21 @@ class TestIrlsFit:
         s1 = irls_fit(data)
         s2 = irls_fit(data)
         assert np.array_equal(s1.omega, s2.omega) and s1.intercept == s2.intercept
+
+    @pytest.mark.parametrize("scale", [1e8, 1e10])
+    def test_duplicate_large_columns_are_singular(self, scale):
+        """Two identical columns scaled far up make X^T W X singular even
+        with the 1e-10 ridge; at scale 1 the ridge lets the fit converge."""
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(40)
+        y = (rng.random(40) < link_logistic(x)).astype(float)
+
+        def duplicated(s):
+            return LabeledCoefficients(theta=s * np.column_stack([x, x]), labels=y, j0=0, d=2)
+
+        irls_fit(duplicated(1.0))
+        with pytest.raises(SingularityError):
+            irls_fit(duplicated(scale))
 
     def test_nonconvergence_carries_last_iterate(self):
         rng = np.random.default_rng(12)

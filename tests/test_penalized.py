@@ -15,6 +15,7 @@ from wavelogit.glm import (
 from wavelogit.metrics import auc
 from wavelogit.penalized import (
     FitConfig,
+    _kkt_residual,
     build_reduction,
     fit_estimator,
     fit_wnet,
@@ -73,6 +74,46 @@ class TestLambdaMax:
         top = lambda_max(data)
         sol = fit_wnet(data, FitConfig(estimator="wnet", lam=0.95 * top, tol=1e-9))
         assert sol.nonzero_detail_count >= 1
+
+
+def three_set_kkt_residual(grad, beta, lam, pen):
+    """The l1 KKT residual as the largest of three masked maxima: free
+    coordinates, penalized zeros and penalized nonzeros."""
+    res = 0.0
+    free = ~pen
+    if np.any(free):
+        res = float(np.max(np.abs(grad[free])))
+    zero = pen & (beta == 0.0)
+    if np.any(zero):
+        res = max(res, float(np.max(np.abs(grad[zero]) - lam, initial=0.0)))
+    active = pen & (beta != 0.0)
+    if np.any(active):
+        res = max(res, float(np.max(np.abs(grad[active] + lam * np.sign(beta[active])))))
+    return res
+
+
+class TestKktResidual:
+    def test_equals_three_set_formula(self):
+        """Random gradients, penalty masks and coefficients with exact zeros,
+        including all-free, all-penalized, all-zero and empty vectors."""
+        rng = np.random.default_rng(15)
+        for trial in range(500):
+            k = int(rng.integers(0, 12))
+            grad = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 3)
+            beta = np.where(rng.random(k) < 0.5, 0.0, rng.standard_normal(k))
+            pen = rng.random(k) < [0.0, 1.0, 0.7][trial % 3]
+            lam = float(rng.choice([0.0, rng.exponential(), 1e3]))
+            got = _kkt_residual(grad, beta, lam, pen)
+            assert got == three_set_kkt_residual(grad, beta, lam, pen), trial
+
+    def test_nan_gradient_gives_nan(self):
+        """A NaN anywhere is the residual, whichever set it falls in."""
+        beta = np.array([0.5, 0.0, 1.0])
+        pen = np.array([False, True, True])
+        for j in range(3):
+            grad = np.array([0.1, 0.2, -0.3])
+            grad[j] = np.nan
+            assert np.isnan(_kkt_residual(grad, beta, 0.25, pen))
 
 
 class TestWnet:

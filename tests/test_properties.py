@@ -1,4 +1,4 @@
-"""Property tests: transform, AUC, soft-threshold, sparse reductions, chunked
+"""Property tests: transform, AUC, soft-threshold, sparse reductions, line
 reading, model files and malformed input.
 
 Every test runs a fixed, derandomized set of examples with no example
@@ -29,6 +29,8 @@ from wavelogit.reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, s
 from wavelogit.wavelet import FILTERS, dwt_forward, dwt_inverse, make_basis
 
 DATA_DIR = Path(__file__).parent / "data"
+# every one-character boundary str.splitlines splits on ("\r\n" is the other)
+BOUNDARY_CHARS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def fixed(max_examples):
@@ -250,20 +252,30 @@ def csv_like_text():
     )
 
 
-class TestChunkedRead:
+class TestLineRead:
     @fixed(100)
-    @given(st.text(st.sampled_from("ab,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), max_size=40))
-    def test_lines_equal_splitlines_at_every_chunk_size(self, tmp_path_factory, text):
-        """Whatever the read size, the reader yields what splitlines gives for
-        the whole text, including a "\r\n" split across two reads."""
+    @given(st.text(st.sampled_from("ab," + BOUNDARY_CHARS), max_size=40))
+    def test_lines_equal_splitlines_of_the_whole_text(self, tmp_path_factory, text):
+        """The reader yields what splitlines gives for the whole text, though
+        the file hands it lines split at "\n" after universal-newline reading."""
         path = tmp_path_factory.mktemp("text") / "data.csv"
         path.write_bytes(text.encode())
         with open(path, encoding="utf-8") as fh:
-            expected = fh.read().splitlines()
-        for chars in range(1, len(text) + 2):
-            with pytest.MonkeyPatch.context() as patch, open(path, encoding="utf-8") as fh:
-                patch.setattr(dataio, "_READ_CHARS", chars)
-                assert list(dataio._text_lines(fh)) == expected, chars
+            assert list(dataio._text_lines(fh)) == text.splitlines()
+
+    @pytest.mark.parametrize("offset", [8191, 8192, 8193, 65535, 65536, 65537])
+    def test_boundaries_across_buffer_offsets(self, tmp_path, offset):
+        """Every boundary, "\r\n" included, starting at a byte offset next to
+        a read buffer's edge, after two-byte padding so that byte and
+        character offsets differ."""
+        pad = "é" * (offset // 2 - 1) + "a" * (offset % 2) + "b,"
+        assert len(pad.encode()) == offset
+        for boundary in ["\r\n", *BOUNDARY_CHARS]:
+            text = pad + boundary + "c" + boundary + boundary + "é,d"
+            path = tmp_path / "data.csv"
+            path.write_bytes(text.encode())
+            with open(path, encoding="utf-8") as fh:
+                assert list(dataio._text_lines(fh)) == text.splitlines(), repr(boundary)
 
 
 class TestMalformedFiles:
