@@ -47,7 +47,7 @@ from .simulate import (
     SynthSpec,
     generate_dataset,
 )
-from .wavelet import FILTERS, make_basis
+from .wavelet import DEFAULT_FAMILY, DEFAULT_J0, FILTERS, make_basis
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,9 +68,9 @@ def _comma_list(text: str, cast, flag: str):
 
 def _add_wavelet_flags(parser):
     parser.add_argument(
-        "--wavelet", default="db4", choices=sorted(FILTERS), help="filter family"
+        "--wavelet", default=DEFAULT_FAMILY, choices=sorted(FILTERS), help="filter family"
     )
-    parser.add_argument("--j0", type=int, default=3, help="coarsest retained scale")
+    parser.add_argument("--j0", type=int, default=DEFAULT_J0, help="coarsest retained scale")
 
 
 def build_parser() -> _Parser:
@@ -245,10 +245,9 @@ def _cmd_cv(args) -> int:
 def _load_pair(model_path, data_path):
     model = load_model(model_path)
     dataset = load_dataset(data_path)
-    if dataset.d != model.d:
-        raise DataError(
-            f"model {model_path} expects d={model.d}, dataset {data_path} has d={dataset.d}"
-        )
+    d = model.basis.d
+    if dataset.d != d:
+        raise DataError(f"model {model_path} expects d={d}, dataset {data_path} has d={dataset.d}")
     return model, dataset
 
 
@@ -271,7 +270,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_export_beta(args) -> int:
     model = load_model(args.model)
     export_beta(model, args.out)
-    print(f"wrote {args.out}: {model.d} samples")
+    print(f"wrote {args.out}: {model.basis.d} samples")
     return 0
 
 

@@ -64,7 +64,7 @@ def to_coefficients(dataset: CurveDataset, basis: WaveletBasis) -> LabeledCoeffi
     if basis.d != dataset.d:
         raise DimensionError(f"basis expects d={basis.d}, dataset has d={dataset.d}")
     theta = dwt_forward(dataset.curves, basis)
-    return LabeledCoefficients(theta=theta, labels=dataset.labels, j0=basis.j0, d=basis.d)
+    return LabeledCoefficients(theta=theta, labels=dataset.labels, j0=basis.j0)
 
 
 def _fmt(x: float) -> str:
@@ -197,9 +197,9 @@ def save_model(model: FittedModel, path: str):
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "estimator": model.estimator,
-        "family": model.family,
-        "j0": model.j0,
-        "d": model.d,
+        "family": model.basis.family,
+        "j0": model.basis.j0,
+        "d": model.basis.d,
         "lambda": _fmt(model.lam),
         "q": model.q,
         "tau": _fmt(model.tau),
@@ -240,9 +240,9 @@ def load_model(path: str) -> FittedModel:
     try:
         return FittedModel(
             estimator=_require_field(doc, "estimator"),
-            family=_require_field(doc, "family"),
-            j0=_require_field(doc, "j0"),
-            d=d,
+            basis=WaveletBasis(
+                family=_require_field(doc, "family"), j0=_require_field(doc, "j0"), d=d
+            ),
             lam=float(_require_field(doc, "lambda")),
             q=_require_field(doc, "q"),
             tau=float(_require_field(doc, "tau")),
@@ -265,7 +265,7 @@ def time_grid(d: int) -> np.ndarray:
 def export_beta(model: FittedModel, path: str):
     """Write `t,beta` CSV sampling the fitted discriminant function."""
     beta = model.beta()
-    grid = time_grid(model.d)
+    grid = time_grid(model.basis.d)
     _atomic_write(path, ["t,beta"] + [f"{_fmt(t)},{_fmt(b)}" for t, b in zip(grid, beta)])
 
 

@@ -26,12 +26,11 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class LabeledCoefficients:
-    """Coefficient matrix (n rows of length d) with binary labels."""
+    """Coefficient matrix (n rows, d = theta.shape[1] columns) with binary labels."""
 
     theta: np.ndarray
     labels: np.ndarray
     j0: int
-    d: int
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -45,8 +44,6 @@ class LabeledCoefficients:
             raise DimensionError(
                 f"labels shape {labels.shape} does not match {n} rows of theta"
             )
-        if d != self.d:
-            raise DimensionError(f"theta has {d} columns, expected d={self.d}")
         if n < 2 or d < 2:
             raise DataError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
         if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -57,6 +54,10 @@ class LabeledCoefficients:
     @property
     def n(self) -> int:
         return self.theta.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.theta.shape[1]
 
     @property
     def n_scale(self) -> int:

@@ -37,18 +37,21 @@ CRITERION_AICC = "aicc"
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Stratified fold assignment: entry i is the fold of observation i."""
+    """Stratified fold assignment: entry i, in 0..k-1, is the fold of observation i."""
 
-    k: int
     assignments: np.ndarray
 
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=int)
         object.__setattr__(self, "assignments", assignments)
+        if assignments.ndim != 1 or assignments.min() < 0:
+            raise DataError("fold assignments must be indices in 0..k-1")
         if self.k < 2:
             raise DataError(f"need at least 2 folds, got k={self.k}")
-        if assignments.ndim != 1 or assignments.min() < 0 or assignments.max() >= self.k:
-            raise DataError("fold assignments must be indices in 0..k-1")
+
+    @property
+    def k(self) -> int:
+        return int(self.assignments.max()) + 1
 
     def split(self, fold: int):
         test = np.nonzero(self.assignments == fold)[0]
@@ -85,7 +88,7 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
             assignments[idx] = fold
             counts[fold] += 1
             sizes[fold] += 1
-    return FoldPlan(k=k, assignments=assignments)
+    return FoldPlan(assignments=assignments)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def cross_validate(data: LabeledCoefficients, grid, folds: FoldPlan) -> Selectio
     for fold in range(folds.k):
         train, test = folds.split(fold)
         train_data = LabeledCoefficients(
-            theta=data.theta[train], labels=data.labels[train], j0=data.j0, d=data.d
+            theta=data.theta[train], labels=data.labels[train], j0=data.j0
         )
         _score_grid(train_data, grid, _heldout_auc(data, test), scores[:, fold], messages)
     return _selection(CRITERION_CV_AUC, grid, scores.mean(axis=1), messages)

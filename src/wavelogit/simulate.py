@@ -16,7 +16,14 @@ import numpy as np
 
 from .dataio import CurveDataset
 from .exceptions import DataError
-from .wavelet import WaveletBasis, coefficient_levels, dwt_inverse, make_basis
+from .wavelet import (
+    DEFAULT_FAMILY,
+    DEFAULT_J0,
+    WaveletBasis,
+    coefficient_levels,
+    dwt_inverse,
+    make_basis,
+)
 
 # default planted signal: five detail coordinates spread over dyadic levels,
 # effect sizes near one within-class standard deviation per coordinate
@@ -36,8 +43,8 @@ class SynthSpec:
     basis: WaveletBasis
     true_support: tuple
     effect_sizes: tuple
-    noise_sd: float = 0.1
-    background_decay: float = 0.6
+    noise_sd: float = DEFAULT_NOISE_SD
+    background_decay: float = DEFAULT_BACKGROUND_DECAY
     seed: int = 0
 
     def __post_init__(self):
@@ -91,7 +98,10 @@ def generate_dataset(spec: SynthSpec) -> CurveDataset:
         coeffs[spec.n_per_class :, list(spec.true_support)] += np.asarray(spec.effect_sizes)
     curves = dwt_inverse(coeffs, spec.basis)
     del coeffs  # so the noise below is drawn without the coefficients held
-    curves = curves + spec.noise_sd * rng.standard_normal((n, spec.d))
+    # in place, the same bits; freeing the noise, not the curves, steadies the peak RSS
+    noise = rng.standard_normal((n, spec.d))
+    noise *= spec.noise_sd
+    curves += noise
     return CurveDataset(curves=curves, labels=labels)
 
 
@@ -107,8 +117,8 @@ def generate_beta(spec: SynthSpec) -> np.ndarray:
 def default_spec(
     seed: int = 0,
     n_per_class: int = DEFAULT_N_TRAIN_PER_CLASS + DEFAULT_N_TEST_PER_CLASS,
-    family: str = "db4",
-    j0: int = 3,
+    family: str = DEFAULT_FAMILY,
+    j0: int = DEFAULT_J0,
     d: int = 256,
 ) -> SynthSpec:
     """The stock generation recipe: d=256 curves, five planted coordinates,

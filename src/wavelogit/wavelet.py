@@ -167,18 +167,20 @@ def _is_power_of_two(d: int) -> bool:
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    """Filter pair plus the (j0, d) geometry of the transform.
+    """A named filter family plus the (j0, d) geometry of the transform.
 
-    The highpass filter is the quadrature mirror of ``lowpass``; only the
-    lowpass taps are stored.
+    The lowpass taps are ``FILTERS[family]``, and the highpass filter is
+    their quadrature mirror, so the family name alone fixes both filters.
     """
 
     family: str
-    lowpass: tuple[float, ...]
     j0: int
     d: int
 
     def __post_init__(self):
+        if self.family not in FILTERS:
+            known = ", ".join(sorted(FILTERS))
+            raise DataError(f"unknown wavelet family {self.family!r} (supported: {known})")
         for name in ("j0", "d"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -191,16 +193,10 @@ class WaveletBasis:
             raise DataError(
                 f"coarsest scale j0={self.j0} leaves no detail levels for d={self.d}"
             )
-        h = np.asarray(self.lowpass, dtype=float)
-        if h.size < 2 or h.size % 2 != 0:
-            raise DataError("lowpass filter must have a positive even tap count")
-        if abs(h.sum() - np.sqrt(2.0)) > 1e-12:
-            raise DataError("lowpass taps must sum to sqrt(2)")
-        err = abs(h @ h - 1.0)
-        for m in range(1, h.size // 2):
-            err = max(err, abs(h[: h.size - 2 * m] @ h[2 * m :]))
-        if err > 1e-12:
-            raise DataError(f"lowpass taps violate orthonormality (error {err:.2e})")
+
+    @property
+    def lowpass(self) -> tuple[float, ...]:
+        return FILTERS[self.family]
 
     @property
     def n_scale(self) -> int:
@@ -214,10 +210,7 @@ class WaveletBasis:
 
 def make_basis(family: str = DEFAULT_FAMILY, j0: int = DEFAULT_J0, d: int = 256) -> WaveletBasis:
     """Build a :class:`WaveletBasis` from a named filter family."""
-    if family not in FILTERS:
-        known = ", ".join(sorted(FILTERS))
-        raise DataError(f"unknown wavelet family {family!r} (supported: {known})")
-    return WaveletBasis(family=family, lowpass=FILTERS[family], j0=j0, d=d)
+    return WaveletBasis(family=family, j0=j0, d=d)
 
 
 def _filter_pair(basis: WaveletBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -125,7 +125,7 @@ def test_criterion_2_gradient_matches_finite_differences():
         y = (rng.random(n) < link_logistic(linear_predictor(state, theta))).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-        data = LabeledCoefficients(theta=theta, labels=y, j0=1, d=d)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=1)
         g, gi = nll_gradient(state, data)
         for j in range(d + 1):
             def at(delta):
@@ -160,7 +160,7 @@ def test_criterion_3_unpenalized_oracle():
         y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-        data = LabeledCoefficients(theta=theta, labels=y, j0=2, d=d)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=2)
         oracle = irls_fit(data)
         assert np.max(np.abs(oracle.omega)) < 50.0  # sanity: nowhere near separation
         sol = fit_wnet(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=50000))
@@ -204,7 +204,7 @@ def test_criterion_4_kkt_certificates_and_lambda_max():
         y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-        data = LabeledCoefficients(theta=theta, labels=y, j0=2, d=d)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=2)
         top = lambda_max(data)
         for lam in np.geomspace(1e-3 * top, top, 6):
             sol = fit_wnet(data, FitConfig(estimator="wnet", lam=lam))
@@ -279,7 +279,7 @@ def planted_replicates(tmp_path_factory):
         beta_path = str(out_dir / f"beta{rep}.csv")
         export_beta(model, beta_path)
         beta = np.array(
-            [float(row.split(",")[1]) for row in open(beta_path).read().splitlines()[1:]]
+            [float(row.split(",")[1]) for row in Path(beta_path).read_text().splitlines()[1:]]
         )
         mass = float(np.sum(beta[union] ** 2) / max(np.sum(beta**2), 1e-300))
 
@@ -339,7 +339,7 @@ def test_criterion_7_reduction_sanity():
     theta = rng.standard_normal((120, 16))
     w = rng.standard_normal(16) * 0.6 / 4.0
     y = (rng.random(120) < link_logistic(theta @ w)).astype(float)
-    data = LabeledCoefficients(theta=theta, labels=y, j0=2, d=16)
+    data = LabeledCoefficients(theta=theta, labels=y, j0=2)
     wnet = fit_estimator(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=20000))
     wpcr = fit_estimator(data, FitConfig(estimator="wpcr", lam=0.0, q=16))
     nll_gap = abs(

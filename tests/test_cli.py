@@ -53,11 +53,11 @@ class TestWorkflow:
             "--j0", "2", "--out", model_path,
         ]) == 0
         model = load_model(model_path)
-        assert model.estimator == "wnet" and model.d == 64
+        assert model.estimator == "wnet" and model.basis.d == 64
 
         probs_path = str(tmp_path / "p.csv")
         assert main(["predict", "--model", model_path, "--data", test, "--out", probs_path]) == 0
-        rows = open(probs_path).read().splitlines()
+        rows = Path(probs_path).read_text().splitlines()
         assert rows[0] == "prob" and len(rows) == 17
 
         assert main(["evaluate", "--model", model_path, "--data", test]) == 0
@@ -67,7 +67,7 @@ class TestWorkflow:
 
         beta_path = str(tmp_path / "beta.csv")
         assert main(["export-beta", "--model", model_path, "--out", beta_path]) == 0
-        assert open(beta_path).read().splitlines()[0] == "t,beta"
+        assert Path(beta_path).read_text().splitlines()[0] == "t,beta"
 
     def test_cv_selects_and_saves(self, tmp_path, capsys):
         train, _ = simulate(tmp_path)
@@ -112,7 +112,7 @@ class TestWorkflow:
         b = str(tmp_path / "b.csv")
         assert main(["simulate", "--out", a] + SIM_ARGS) == 0
         assert main(["simulate", "--out", b] + SIM_ARGS) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestExitCodes:
@@ -222,7 +222,7 @@ class TestExitCodes:
         model_path = str(tmp_path / "m.json")
         assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
                      "--j0", "2", "--out", model_path]) == 0
-        doc = json.load(open(model_path))
+        doc = json.loads(Path(model_path).read_text())
         doc["j0"] = "2"
         with open(model_path, "w") as fh:
             json.dump(doc, fh)
@@ -248,7 +248,7 @@ class TestExitCodes:
         model_path = str(tmp_path / "m.json")
         assert main(["fit", "--data", train, "--method", "wpcr", "--q", "2",
                      "--lambda", "0.1", "--out", model_path]) == 0
-        doc = json.load(open(model_path))
+        doc = json.loads(Path(model_path).read_text())
         doc[field] = value
         with open(model_path, "w") as fh:
             json.dump(doc, fh)

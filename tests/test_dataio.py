@@ -5,6 +5,7 @@ import json
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from wavelogit.exceptions import (
     ModelFileError,
     ParseError,
 )
+from wavelogit.glm import link_logistic
 from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import FitConfig, fit_estimator
 from wavelogit.simulate import SynthSpec, generate_dataset
-from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
+from wavelogit.wavelet import FILTERS, dwt_forward, dwt_inverse, make_basis
 
 # every boundary str.splitlines splits on, "\r\n" counting as one
 LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -42,10 +44,10 @@ def tiny_dataset(rng=None, n=12, d=16):
     return CurveDataset(curves=curves, labels=labels)
 
 
-def fitted_model(estimator="wnet", q=None, tau=0.0, d=16, j0=2, n=40):
+def fitted_model(estimator="wnet", q=None, tau=0.0, d=16, j0=2, n=40, family="db4"):
     rng = np.random.default_rng(1)
     dataset = tiny_dataset(rng, n=n, d=d)
-    basis = make_basis("db4", j0, d)
+    basis = make_basis(family, j0, d)
     data = to_coefficients(dataset, basis)
     config = FitConfig(estimator=estimator, lam=0.1, q=q, tau=tau)
     return model_from_fit(fit_estimator(data, config), config, basis), dataset
@@ -100,14 +102,14 @@ class TestDatasetCsv:
     def test_emits_lf_only(self, tmp_path):
         path = str(tmp_path / "lf.csv")
         save_dataset(tiny_dataset(), path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
     def test_accepts_crlf(self, tmp_path):
         path = str(tmp_path / "crlf.csv")
         save_dataset(tiny_dataset(n=4), path)
-        text = open(path, "r").read()
+        text = Path(path).read_text()
         with open(path, "w", newline="") as fh:
             fh.write(text.replace("\n", "\r\n"))
         back = load_dataset(path)
@@ -250,14 +252,19 @@ class TestDatasetCsv:
 
 class TestModelFile:
     def test_round_trip_predictions_bit_exact(self, tmp_path):
-        for estimator, q in (("wnet", None), ("wpcr", 3), ("wls", 2)):
-            model, dataset = fitted_model(estimator=estimator, q=q)
-            path = str(tmp_path / f"{estimator}.json")
-            save_model(model, path)
-            back = load_model(path)
-            before = model.predict_proba(dataset.curves)
-            after = back.predict_proba(dataset.curves)
-            assert np.array_equal(before, after)
+        """For every family, the fitted and the reloaded model both score a
+        curve as the link of its coefficients in the fit's own basis."""
+        for family in sorted(FILTERS):
+            for estimator, q in (("wnet", None), ("wpcr", 3), ("wls", 2)):
+                model, dataset = fitted_model(estimator=estimator, q=q, family=family)
+                path = str(tmp_path / f"{family}-{estimator}.json")
+                save_model(model, path)
+                back = load_model(path)
+                assert back.basis == model.basis
+                theta = to_coefficients(dataset, make_basis(family, 2, 16)).theta
+                expected = link_logistic(theta @ model.omega + model.intercept)
+                assert np.array_equal(model.predict_proba(dataset.curves), expected)
+                assert np.array_equal(back.predict_proba(dataset.curves), expected)
 
     def test_round_trip_reduced_model_exact(self, tmp_path):
         model, _ = fitted_model(estimator="wpls", q=4)
@@ -267,13 +274,13 @@ class TestModelFile:
         assert np.array_equal(back.omega, model.omega)
         assert back.intercept == model.intercept and back.lam == model.lam
         assert back.q == 4 and back.estimator == "wpls"
-        assert "loadings" not in json.load(open(path))
+        assert "loadings" not in json.loads(Path(path).read_text())
 
     def test_unknown_version_refused(self, tmp_path):
         model, _ = fitted_model()
         path = str(tmp_path / "m.json")
         save_model(model, path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         doc["format_version"] = 3
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -285,7 +292,7 @@ class TestModelFile:
         model, _ = fitted_model()
         path = str(tmp_path / "m.json")
         save_model(model, path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         doc["omega"][3] = "oops"
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -296,7 +303,7 @@ class TestModelFile:
         model, _ = fitted_model()
         path = str(tmp_path / "m.json")
         save_model(model, path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         del doc["intercept"]
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -317,9 +324,7 @@ class TestExports:
     def make_model(self, omega, d=16, j0=2):
         return FittedModel(
             estimator="wnet",
-            family="db4",
-            j0=j0,
-            d=d,
+            basis=make_basis("db4", j0, d),
             lam=0.5,
             q=None,
             tau=0.0,
@@ -336,7 +341,7 @@ class TestExports:
     def test_zero_model_exports_zero_column(self, tmp_path):
         path = str(tmp_path / "beta.csv")
         export_beta(self.make_model(np.zeros(16)), path)
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[0] == "t,beta"
         assert len(rows) == 17
         assert all(row.split(",")[1] == "0" for row in rows[1:])
@@ -346,7 +351,7 @@ class TestExports:
         omega[9] = 1.25
         path = str(tmp_path / "atom.csv")
         export_beta(self.make_model(omega), path)
-        rows = open(path).read().splitlines()[1:]
+        rows = Path(path).read_text().splitlines()[1:]
         values = np.array([float(r.split(",")[1]) for r in rows])
         expected = dwt_inverse(omega, make_basis("db4", 2, 16))
         assert np.array_equal(values, expected)
@@ -357,6 +362,6 @@ class TestExports:
         probs = np.random.default_rng(2).random(9)
         path = str(tmp_path / "p.csv")
         save_probabilities(probs, path)
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[0] == "prob"
         assert np.array_equal(np.array([float(r) for r in rows[1:]]), probs)

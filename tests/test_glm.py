@@ -23,7 +23,7 @@ def random_instance(rng, n=30, d=6, scale=1.0):
     y = (rng.random(n) < p).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
-    data = LabeledCoefficients(theta=theta, labels=y, j0=1, d=d)
+    data = LabeledCoefficients(theta=theta, labels=y, j0=1)
     return state, data
 
 
@@ -44,20 +44,18 @@ class TestLabeledCoefficients:
     def test_rejects_non_binary_labels(self):
         theta = np.zeros((3, 4))
         with pytest.raises(DataError):
-            LabeledCoefficients(theta=theta, labels=np.array([0.0, 0.5, 1.0]), j0=0, d=4)
+            LabeledCoefficients(theta=theta, labels=np.array([0.0, 0.5, 1.0]), j0=0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            LabeledCoefficients(theta=np.zeros((3, 4)), labels=np.zeros(2), j0=0, d=4)
-        with pytest.raises(DimensionError):
-            LabeledCoefficients(theta=np.zeros((3, 4)), labels=np.zeros(3), j0=0, d=8)
+            LabeledCoefficients(theta=np.zeros((3, 4)), labels=np.zeros(2), j0=0)
 
     def test_rejects_tiny_problems(self):
         with pytest.raises(DataError):
-            LabeledCoefficients(theta=np.zeros((1, 4)), labels=np.zeros(1), j0=0, d=4)
+            LabeledCoefficients(theta=np.zeros((1, 4)), labels=np.zeros(1), j0=0)
 
     def test_single_class_blocks_fitting(self):
-        data = LabeledCoefficients(theta=np.eye(4), labels=np.ones(4), j0=0, d=4)
+        data = LabeledCoefficients(theta=np.eye(4), labels=np.ones(4), j0=0)
         with pytest.raises(DataError):
             irls_fit(data)
 
@@ -141,14 +139,14 @@ class TestNegLogLikelihood:
     def test_zero_state_is_n_log_two(self):
         rng = np.random.default_rng(1)
         data = LabeledCoefficients(
-            theta=rng.standard_normal((4, 2)), labels=np.array([0.0, 1.0, 0.0, 1.0]), j0=0, d=2
+            theta=rng.standard_normal((4, 2)), labels=np.array([0.0, 1.0, 0.0, 1.0]), j0=0
         )
         state = LinearModelState(omega=np.zeros(2), intercept=0.0)
         assert abs(neg_log_likelihood(state, data) - 4 * np.log(2.0)) <= 1e-12
 
     def test_saturated_fit_is_negligible(self):
         theta = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        data = LabeledCoefficients(theta=theta, labels=np.array([1.0, 0.0]), j0=0, d=2)
+        data = LabeledCoefficients(theta=theta, labels=np.array([1.0, 0.0]), j0=0)
         state = LinearModelState(omega=np.array([40.0, 0.0]), intercept=0.0)
         assert neg_log_likelihood(state, data) <= 1e-12
 
@@ -182,13 +180,13 @@ class TestGradient:
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((10, 3))
         labels = np.array([0.0, 1.0] * 5)
-        data = LabeledCoefficients(theta=theta, labels=labels, j0=0, d=3)
+        data = LabeledCoefficients(theta=theta, labels=labels, j0=0)
         _, gi = nll_gradient(LinearModelState(omega=np.zeros(3), intercept=0.0), data)
         assert abs(gi) <= 1e-12
 
     def test_saturated_observation_contributes_nothing(self):
         theta = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        data = LabeledCoefficients(theta=theta, labels=np.array([1.0, 0.0]), j0=0, d=2)
+        data = LabeledCoefficients(theta=theta, labels=np.array([1.0, 0.0]), j0=0)
         g, gi = nll_gradient(LinearModelState(omega=np.array([40.0, 0.0]), intercept=0.0), data)
         assert np.max(np.abs(g)) <= 1e-12 and abs(gi) <= 1e-12
 
@@ -229,7 +227,7 @@ class TestIrlsFit:
         theta = np.array([[-1.0], [-1.0], [-1.0], [1.0], [1.0], [1.0]])
         theta = np.column_stack([theta, np.zeros(6)])
         y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])  # one flip each side
-        data = LabeledCoefficients(theta=theta, labels=y, j0=0, d=2)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=0)
         full = irls_fit(data, columns=[0])
         base = irls_fit(data, columns=[])
         assert neg_log_likelihood(full, data) <= neg_log_likelihood(base, data)
@@ -242,7 +240,7 @@ class TestIrlsFit:
         theta = rng.standard_normal((n, d))
         p = link_logistic(theta @ omega_true + intercept_true)
         y = (rng.random(n) < p).astype(float)
-        state = irls_fit(LabeledCoefficients(theta=theta, labels=y, j0=0, d=d))
+        state = irls_fit(LabeledCoefficients(theta=theta, labels=y, j0=0))
         assert np.max(np.abs(state.omega - omega_true)) <= 0.1
         assert abs(state.intercept - intercept_true) <= 0.1
 
@@ -250,7 +248,7 @@ class TestIrlsFit:
         rng = np.random.default_rng(10)
         theta = rng.standard_normal((40, 3))
         y = np.array([1.0] * 25 + [0.0] * 15)
-        data = LabeledCoefficients(theta=theta, labels=y, j0=0, d=3)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=0)
         state = irls_fit(data, columns=[])
         expected = np.log(25 / 15)
         assert abs(state.intercept - expected) <= 1e-10
@@ -272,7 +270,7 @@ class TestIrlsFit:
         y = (rng.random(40) < link_logistic(x)).astype(float)
 
         def duplicated(s):
-            return LabeledCoefficients(theta=s * np.column_stack([x, x]), labels=y, j0=0, d=2)
+            return LabeledCoefficients(theta=s * np.column_stack([x, x]), labels=y, j0=0)
 
         irls_fit(duplicated(1.0))
         with pytest.raises(SingularityError):
@@ -324,7 +322,7 @@ class TestNewton:
     def test_without_quadratic_term_equals_irls_fit(self):
         aug, y, _, _ = newton_instance(31)
         beta, steps = _newton(aug, y, np.zeros(5), 100, 1e-8)
-        data = LabeledCoefficients(theta=aug[:, 1:], labels=y, j0=0, d=4)
+        data = LabeledCoefficients(theta=aug[:, 1:], labels=y, j0=0)
         state = irls_fit(data, max_iter=100, tol=1e-8)
         assert steps >= 1
         np.testing.assert_allclose(beta[1:], state.omega, rtol=0, atol=1e-10)

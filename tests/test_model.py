@@ -7,15 +7,13 @@ from wavelogit.exceptions import DataError, DimensionError
 from wavelogit.glm import LabeledCoefficients, link_logistic
 from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import FitConfig, fit_estimator
-from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
+from wavelogit.wavelet import WaveletBasis, dwt_forward, dwt_inverse, make_basis
 
 
-def make_model(omega=None, d=16, j0=2, intercept=0.3, **overrides):
+def make_model(omega=None, d=16, j0=2, family="db4", intercept=0.3, **overrides):
     fields = dict(
         estimator="wnet",
-        family="db4",
-        j0=j0,
-        d=d,
+        basis=WaveletBasis(family=family, j0=j0, d=d),
         lam=0.2,
         q=None,
         tau=0.0,
@@ -74,11 +72,12 @@ class TestModelFromFit:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((40, 16))
         labels = (np.arange(40) % 2).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=labels, j0=2, d=16)
+        data = LabeledCoefficients(theta=theta, labels=labels, j0=2)
         config = FitConfig(estimator="wnet", lam=0.5)
         solution = fit_estimator(data, config)
         basis = make_basis("db4", 2, 16)
         model = model_from_fit(solution, config, basis)
+        assert model.basis is basis
         assert model.q is None
         assert np.array_equal(model.omega, solution.omega)
         assert model.intercept == solution.intercept

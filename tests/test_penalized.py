@@ -32,7 +32,7 @@ def random_instance(rng, n, d, j0=2, strength=1.0):
     y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
-    return LabeledCoefficients(theta=theta, labels=y, j0=j0, d=d)
+    return LabeledCoefficients(theta=theta, labels=y, j0=j0)
 
 
 class TestSoftThreshold:
@@ -164,7 +164,7 @@ class TestWnet:
         w = np.zeros(d)
         w[support] = np.array([1.6, -1.3, 1.1, -1.5, 1.2])
         y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=y, j0=3, d=d)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=3)
 
         top = lambda_max(data)
         grid = [FitConfig(estimator="wnet", lam=l) for l in np.geomspace(1e-2 * top, top, 8)]
@@ -221,7 +221,7 @@ class TestReducedPenalized:
         def draw(n):
             theta = rng.standard_normal((n, d))
             y = (rng.random(n) < link_logistic(theta @ direction)).astype(float)
-            return LabeledCoefficients(theta=theta, labels=y, j0=2, d=d)
+            return LabeledCoefficients(theta=theta, labels=y, j0=2)
 
         train, test = draw(300), draw(2000)
         pls = fit_estimator(train, FitConfig(estimator="wpls", lam=0.01, q=1))
@@ -322,7 +322,7 @@ class TestReducedUnpenalized:
         theta = rng.standard_normal((n, d))
         theta[:, 0] *= 8.0  # first coordinate dominates the variance
         y = (rng.random(n) < link_logistic(0.9 * theta[:, 0] / 8.0)).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=y, j0=1, d=d)
+        data = LabeledCoefficients(theta=theta, labels=y, j0=1)
 
         config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
         basis = build_reduction(data, config)
@@ -367,10 +367,10 @@ class TestReducedUnpenalized:
         y = (theta[:, 0] > 0).astype(float)  # perfectly separable
         config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
         basis = build_reduction(
-            LabeledCoefficients(theta=theta, labels=y, j0=1, d=d), config
+            LabeledCoefficients(theta=theta, labels=y, j0=1), config
         )
         # shrink the design so the diverging coefficient must cross the bound
-        tiny = LabeledCoefficients(theta=theta * 1e-3, labels=y, j0=1, d=d)
+        tiny = LabeledCoefficients(theta=theta * 1e-3, labels=y, j0=1)
         with pytest.raises(SeparationError):
             fit_estimator(tiny, config, basis=basis)
 

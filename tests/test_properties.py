@@ -314,7 +314,7 @@ class TestMalformedFiles:
         assert model.q is None or type(model.q) is int
         assert type(model.iterations) is int and model.iterations >= 0
         assert np.isfinite(model.kkt_residual) and model.kkt_residual >= 0
-        curves = np.linspace(-1.0, 1.0, 3 * model.d).reshape(3, model.d)
+        curves = np.linspace(-1.0, 1.0, 3 * model.basis.d).reshape(3, model.basis.d)
         with np.errstate(over="ignore", invalid="ignore"):
             assert model.predict_proba(curves).shape == (3,)
         save_model(model, str(path))

@@ -40,7 +40,7 @@ def planted_data(rng, n, d=16, j0=2, coords=(6, 11), effects=(1.4, -1.1)):
     y = (rng.random(n) < link_logistic(theta @ w + 0.1)).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
-    return LabeledCoefficients(theta=theta, labels=y, j0=j0, d=d)
+    return LabeledCoefficients(theta=theta, labels=y, j0=j0)
 
 
 class TestMakeFolds:
@@ -79,6 +79,7 @@ class TestMakeFolds:
             labels = np.concatenate([np.ones(n1), np.zeros(n0)])
             rng.shuffle(labels)
             plan = make_folds(labels, k, seed=trial)
+            assert plan.k == k
             sizes = np.bincount(plan.assignments, minlength=k)
             assert sizes.sum() == labels.size
             assert sizes.max() - sizes.min() <= 1
@@ -104,7 +105,7 @@ class TestCrossValidate:
         data = planted_data(rng, 60)
         theta = data.theta.copy()
         theta[:, : data.n_scale] = 1.0  # no usable scale signal
-        data = LabeledCoefficients(theta=theta, labels=data.labels, j0=data.j0, d=data.d)
+        data = LabeledCoefficients(theta=theta, labels=data.labels, j0=data.j0)
         folds = make_folds(data.labels, 5, seed=0)
         huge = 10.0 * lambda_max(data)
         grid = [FitConfig(estimator="wnet", lam=huge), FitConfig(estimator="wnet", lam=0.3)]
@@ -152,7 +153,7 @@ class TestCrossValidate:
         test_idx = folds.split(victim_fold)[1]
         poisoned_labels[test_idx] = 1.0 - poisoned_labels[test_idx]
         poisoned = LabeledCoefficients(
-            theta=data.theta, labels=poisoned_labels, j0=data.j0, d=data.d
+            theta=data.theta, labels=poisoned_labels, j0=data.j0
         )
         dirty = cross_validate(poisoned, grid, folds)
 
@@ -217,7 +218,7 @@ class TestCrossValidate:
             for fold in range(folds.k):
                 train, test = folds.split(fold)
                 train_data = LabeledCoefficients(
-                    theta=data.theta[train], labels=data.labels[train], j0=data.j0, d=data.d
+                    theta=data.theta[train], labels=data.labels[train], j0=data.j0
                 )
                 try:
                     sol = fit_estimator(train_data, config)
