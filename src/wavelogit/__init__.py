@@ -33,10 +33,8 @@ from .exceptions import (
 )
 from .glm import (
     LabeledCoefficients,
-    LinearModelState,
     irls_fit,
     link_logistic,
-    linear_predictor,
     neg_log_likelihood,
     nll_gradient,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "FittedModel",
     "FoldPlan",
     "LabeledCoefficients",
-    "LinearModelState",
     "ModelFileError",
     "NumericalError",
     "ParseError",
@@ -123,7 +120,6 @@ __all__ = [
     "generate_dataset",
     "irls_fit",
     "lambda_max",
-    "linear_predictor",
     "link_logistic",
     "load_dataset",
     "load_model",

@@ -19,6 +19,7 @@ import numpy as np
 from .exceptions import DataError, DimensionError, ModelFileError, ParseError
 from .glm import LabeledCoefficients
 from .model import FittedModel
+from .penalized import FitConfig
 from .wavelet import WaveletBasis, dwt_forward
 
 # version 1 files also hold a reduced fit's "center" and "loadings"; loading
@@ -196,13 +197,13 @@ def save_model(model: FittedModel, path: str):
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "estimator": model.estimator,
+        "estimator": model.config.estimator,
         "family": model.basis.family,
         "j0": model.basis.j0,
         "d": model.basis.d,
-        "lambda": _fmt(model.lam),
-        "q": model.q,
-        "tau": _fmt(model.tau),
+        "lambda": _fmt(model.config.lam),
+        "q": model.config.q,
+        "tau": _fmt(model.config.tau),
         "intercept": _fmt(model.intercept),
         "omega": _floats_out(model.omega),
         "kkt_residual": _fmt(model.kkt_residual),
@@ -239,13 +240,15 @@ def load_model(path: str) -> FittedModel:
     d = _require_field(doc, "d")
     try:
         return FittedModel(
-            estimator=_require_field(doc, "estimator"),
+            config=FitConfig(
+                estimator=_require_field(doc, "estimator"),
+                lam=float(_require_field(doc, "lambda")),
+                q=_require_field(doc, "q"),
+                tau=float(_require_field(doc, "tau")),
+            ),
             basis=WaveletBasis(
                 family=_require_field(doc, "family"), j0=_require_field(doc, "j0"), d=d
             ),
-            lam=float(_require_field(doc, "lambda")),
-            q=_require_field(doc, "q"),
-            tau=float(_require_field(doc, "tau")),
             intercept=float(_require_field(doc, "intercept")),
             omega=_floats_in(_require_field(doc, "omega"), (d,), "omega"),
             kkt_residual=float(_require_field(doc, "kkt_residual")),

@@ -68,32 +68,6 @@ class LabeledCoefficients:
             raise DataError("fitting requires at least one observation of each class")
 
 
-@dataclass(frozen=True)
-class LinearModelState:
-    """Wavelet-domain coefficient vector plus an unpenalized intercept."""
-
-    omega: np.ndarray
-    intercept: float
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        if omega.ndim != 1:
-            raise DimensionError(f"omega must be 1-D, got ndim={omega.ndim}")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "intercept", float(self.intercept))
-
-
-def linear_predictor(state: LinearModelState, theta_row) -> np.ndarray | float:
-    """intercept + theta @ omega for one row or a stack of rows."""
-    theta_row = np.asarray(theta_row, dtype=float)
-    if theta_row.shape[-1] != state.omega.shape[0]:
-        raise DimensionError(
-            f"theta has {theta_row.shape[-1]} columns, omega has {state.omega.shape[0]}"
-        )
-    eta = theta_row @ state.omega + state.intercept
-    return float(eta) if eta.ndim == 0 else eta
-
-
 def link_logistic(eta):
     """Numerically stable sigmoid 1/(1 + exp(-eta)).
 
@@ -113,10 +87,18 @@ def _nll_from_eta(eta: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
-def neg_log_likelihood(state: LinearModelState, data: LabeledCoefficients) -> float:
-    """Bernoulli negative log-likelihood; finite for all finite inputs."""
-    eta = linear_predictor(state, data.theta)
-    return _nll_from_eta(np.asarray(eta), data.labels)
+def _check_omega(omega, data: LabeledCoefficients) -> np.ndarray:
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (data.d,):
+        raise DimensionError(f"omega has shape {omega.shape}, expected ({data.d},)")
+    return omega
+
+
+def neg_log_likelihood(omega, intercept: float, data: LabeledCoefficients) -> float:
+    """Bernoulli negative log-likelihood of intercept + theta @ omega; finite
+    for all finite inputs."""
+    omega = _check_omega(omega, data)
+    return _nll_from_eta(data.theta @ omega + intercept, data.labels)
 
 
 def _with_intercept(design: np.ndarray) -> np.ndarray:
@@ -130,11 +112,9 @@ def _nll_grad(aug: np.ndarray, y: np.ndarray, beta: np.ndarray):
     return _nll_from_eta(eta, y), aug.T @ (link_logistic(eta) - y)
 
 
-def nll_gradient(state: LinearModelState, data: LabeledCoefficients):
-    """Gradient of the NLL: (theta^T (p - y), sum(p - y))."""
-    if state.omega.shape[0] != data.d:
-        raise DimensionError(f"theta has {data.d} columns, omega has {state.omega.shape[0]}")
-    beta = np.concatenate([[state.intercept], state.omega])
+def nll_gradient(omega, intercept: float, data: LabeledCoefficients):
+    """Gradient of the NLL in (omega, intercept): (theta^T (p - y), sum(p - y))."""
+    beta = np.concatenate([[intercept], _check_omega(omega, data)])
     _, grad = _nll_grad(_with_intercept(data.theta), data.labels, beta)
     return grad[1:], float(grad[0])
 
@@ -206,8 +186,8 @@ def irls_fit(
     max_iter: int = 100,
     tol: float = 1e-8,
     columns=None,
-) -> LinearModelState:
-    """Unpenalized maximum-likelihood fit.
+) -> tuple[np.ndarray, float]:
+    """Unpenalized maximum-likelihood fit; returns (omega, intercept).
 
     ``columns`` restricts the model to a subset of coefficient positions
     (an empty list fits the intercept alone); omitted positions stay 0.
@@ -222,4 +202,4 @@ def irls_fit(
     )
     omega = np.zeros(data.d)
     omega[cols] = beta[1:]
-    return LinearModelState(omega=omega, intercept=float(beta[0]))
+    return omega, float(beta[0])

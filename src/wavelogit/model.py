@@ -1,9 +1,9 @@
 """Fitted-model artifact: coefficients, provenance, and prediction.
 
 A FittedModel bundles everything needed to score new curves: the wavelet
-basis, the coefficient vector omega with its intercept, and the tuning
-parameters that produced them.  A reduced fit's omega already carries its
-components (omega = V_q @ gamma), so the reduction is not kept.
+basis, the coefficient vector omega with its intercept, and the config
+that produced them.  A reduced fit's omega already carries its components
+(omega = V_q @ gamma), so the reduction is not kept.
 """
 
 from __future__ import annotations
@@ -14,36 +14,28 @@ import numpy as np
 
 from .exceptions import DataError, DimensionError
 from .glm import link_logistic
-from .penalized import FitConfig, PenalizedSolution
+from .penalized import FitConfig, PenalizedSolution, _as_int
 from .wavelet import WaveletBasis, dwt_forward, dwt_inverse
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A fitted classifier plus the provenance needed to reproduce it; ``basis``
-    is the wavelet basis the fit ran in, and scoring and ``beta`` use it."""
+    """A fitted classifier plus the provenance needed to reproduce it.
 
-    estimator: str
+    ``config`` is the estimator and tuning parameters of the fit, and
+    ``basis`` the wavelet basis it ran in; scoring and ``beta`` use it.  A
+    model file stores no solver limits, so a loaded model's ``config.tol``
+    and ``config.max_iter`` are the defaults.
+    """
+
+    config: FitConfig
     basis: WaveletBasis
-    lam: float
-    q: int | None
-    tau: float
     intercept: float
     omega: np.ndarray
     kkt_residual: float
     iterations: int
 
     def __post_init__(self):
-        if self.q is not None:
-            object.__setattr__(self, "q", _as_int(self.q, "q"))
-        # the tuning parameters must form the config that produced the fit
-        FitConfig(estimator=self.estimator, lam=self.lam, q=self.q, tau=self.tau)
         object.__setattr__(self, "iterations", _as_int(self.iterations, "iterations"))
         if self.iterations < 0:
             raise DataError(f"iterations must be >= 0, got {self.iterations}")
@@ -71,11 +63,8 @@ def model_from_fit(
 ) -> FittedModel:
     """Package a solver result and its provenance into a FittedModel."""
     return FittedModel(
-        estimator=config.estimator,
+        config=config,
         basis=basis,
-        lam=config.lam,
-        q=config.q,
-        tau=config.tau,
         intercept=solution.intercept,
         omega=solution.omega,
         kkt_residual=solution.kkt_residual,

@@ -26,7 +26,6 @@ import numpy as np
 from .exceptions import ConvergenceError, DataError, DimensionError, NumericalError
 from .glm import (
     LabeledCoefficients,
-    LinearModelState,
     _newton,
     _nll_from_eta,
     _nll_grad,
@@ -53,6 +52,12 @@ _RHO_STEP = 2.0
 _RELAXATION = 1.6
 
 
+def _as_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Estimator choice plus its tuning parameters and solver limits.
@@ -72,6 +77,8 @@ class FitConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
+        if self.q is not None:
+            object.__setattr__(self, "q", _as_int(self.q, "q"))
         if self.estimator not in ESTIMATORS:
             raise DataError(f"unknown estimator {self.estimator!r} (choose from {ESTIMATORS})")
         if not (np.isfinite(self.lam) and np.isfinite(self.tau)):
@@ -95,9 +102,6 @@ class PenalizedSolution:
     kkt_residual: float
     nonzero_detail_count: int
     iterations: int
-
-    def state(self) -> LinearModelState:
-        return LinearModelState(omega=self.omega, intercept=self.intercept)
 
 
 def _detail_mask(data: LabeledCoefficients) -> np.ndarray:

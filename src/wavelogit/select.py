@@ -37,17 +37,23 @@ CRITERION_AICC = "aicc"
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Stratified fold assignment: entry i, in 0..k-1, is the fold of observation i."""
+    """Stratified fold assignment: entry i, in 0..k-1, is the fold of observation i,
+    and every fold has a member."""
 
     assignments: np.ndarray
 
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=int)
         object.__setattr__(self, "assignments", assignments)
-        if assignments.ndim != 1 or assignments.min() < 0:
+        if assignments.ndim != 1 or assignments.size == 0 or assignments.min() < 0:
             raise DataError("fold assignments must be indices in 0..k-1")
         if self.k < 2:
             raise DataError(f"need at least 2 folds, got k={self.k}")
+        empty = np.flatnonzero(np.bincount(assignments) == 0)
+        if empty.size:
+            raise DataError(
+                f"fold {empty[0]} has no members; assignments must use every fold 0..{self.k - 1}"
+            )
 
     @property
     def k(self) -> int:
@@ -95,7 +101,6 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
 class SelectionResult:
     """Grid search outcome: per-point criterion values and the winner."""
 
-    criterion_kind: str
     configs: tuple
     criteria: np.ndarray
     messages: tuple
@@ -131,7 +136,6 @@ def _selection(kind: str, grid: tuple, values: np.ndarray, messages) -> Selectio
     best = np.max(values[finite]) if kind == CRITERION_CV_AUC else np.min(values[finite])
     candidates = [i for i in np.nonzero(finite)[0] if values[i] == best]
     return SelectionResult(
-        criterion_kind=kind,
         configs=grid,
         criteria=values,
         messages=tuple(messages),
@@ -183,7 +187,7 @@ def aicc(solution: PenalizedSolution, data: LabeledCoefficients) -> float:
         raise CriterionUndefinedError(
             f"corrected AIC needs n > k+1, got n={n} with k={k_eff} nonzero parameters"
         )
-    nll = neg_log_likelihood(solution.state(), data)
+    nll = neg_log_likelihood(solution.omega, solution.intercept, data)
     return 2.0 * nll + 2.0 * k_eff + 2.0 * k_eff * (k_eff + 1) / (n - k_eff - 1)
 
 

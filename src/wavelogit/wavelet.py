@@ -203,10 +203,6 @@ class WaveletBasis:
         """Size of the unpenalized scale block, 2**j0."""
         return 1 << self.j0
 
-    @property
-    def n_levels(self) -> int:
-        return self.d.bit_length() - 1 - self.j0
-
 
 def make_basis(family: str = DEFAULT_FAMILY, j0: int = DEFAULT_J0, d: int = 256) -> WaveletBasis:
     """Build a :class:`WaveletBasis` from a named filter family."""

@@ -24,9 +24,7 @@ from wavelogit.dataio import (
 )
 from wavelogit.glm import (
     LabeledCoefficients,
-    LinearModelState,
     irls_fit,
-    linear_predictor,
     link_logistic,
     neg_log_likelihood,
     nll_gradient,
@@ -45,7 +43,6 @@ from wavelogit.reduce import (
 from wavelogit.select import cross_validate, make_folds
 from wavelogit.simulate import (
     DEFAULT_SUPPORT,
-    SynthSpec,
     default_spec,
     generate_dataset,
 )
@@ -119,23 +116,21 @@ def test_criterion_2_gradient_matches_finite_differences():
     for _ in range(100):
         n, d = 25, 6
         theta = rng.standard_normal((n, d))
-        state = LinearModelState(
-            omega=rng.standard_normal(d), intercept=rng.standard_normal()
-        )
-        y = (rng.random(n) < link_logistic(linear_predictor(state, theta))).astype(float)
+        omega, intercept = rng.standard_normal(d), rng.standard_normal()
+        y = (rng.random(n) < link_logistic(theta @ omega + intercept)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
         data = LabeledCoefficients(theta=theta, labels=y, j0=1)
-        g, gi = nll_gradient(state, data)
+        g, gi = nll_gradient(omega, intercept, data)
         for j in range(d + 1):
             def at(delta):
-                w = state.omega.copy()
-                b = state.intercept
+                w = omega.copy()
+                b = intercept
                 if j < d:
                     w[j] += delta
                 else:
                     b += delta
-                return neg_log_likelihood(LinearModelState(omega=w, intercept=b), data)
+                return neg_log_likelihood(w, b, data)
 
             numeric = (at(h) - at(-h)) / (2 * h)
             exact = g[j] if j < d else gi
@@ -161,12 +156,12 @@ def test_criterion_3_unpenalized_oracle():
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
         data = LabeledCoefficients(theta=theta, labels=y, j0=2)
-        oracle = irls_fit(data)
-        assert np.max(np.abs(oracle.omega)) < 50.0  # sanity: nowhere near separation
+        oracle_omega, oracle_intercept = irls_fit(data)
+        assert np.max(np.abs(oracle_omega)) < 50.0  # sanity: nowhere near separation
         sol = fit_wnet(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=50000))
         gap = max(
-            float(np.max(np.abs(sol.omega - oracle.omega))),
-            abs(sol.intercept - oracle.intercept),
+            float(np.max(np.abs(sol.omega - oracle_omega))),
+            abs(sol.intercept - oracle_intercept),
         )
         worst = max(worst, gap)
         assert gap <= 1e-4
@@ -343,7 +338,8 @@ def test_criterion_7_reduction_sanity():
     wnet = fit_estimator(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=20000))
     wpcr = fit_estimator(data, FitConfig(estimator="wpcr", lam=0.0, q=16))
     nll_gap = abs(
-        neg_log_likelihood(wnet.state(), data) - neg_log_likelihood(wpcr.state(), data)
+        neg_log_likelihood(wnet.omega, wnet.intercept, data)
+        - neg_log_likelihood(wpcr.omega, wpcr.intercept, data)
     )
     assert nll_gap <= 1e-6
     print(f"criterion 7 PASS: PCA invariants on 200 matrices, q=d NLL gap {nll_gap:.2e}")

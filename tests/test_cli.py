@@ -6,7 +6,6 @@ from pathlib import Path
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import wavelogit
@@ -53,7 +52,7 @@ class TestWorkflow:
             "--j0", "2", "--out", model_path,
         ]) == 0
         model = load_model(model_path)
-        assert model.estimator == "wnet" and model.basis.d == 64
+        assert model.config.estimator == "wnet" and model.basis.d == 64
 
         probs_path = str(tmp_path / "p.csv")
         assert main(["predict", "--model", model_path, "--data", test, "--out", probs_path]) == 0
@@ -77,7 +76,7 @@ class TestWorkflow:
             "--j0", "2", "--folds", "4", "--out", model_path,
         ]) == 0
         assert "selected wnet" in capsys.readouterr().out
-        assert load_model(model_path).estimator == "wnet"
+        assert load_model(model_path).config.estimator == "wnet"
 
     def test_cv_aicc_path(self, tmp_path, capsys):
         train, _ = simulate(tmp_path)
@@ -89,7 +88,7 @@ class TestWorkflow:
         ]) == 0
         assert "AICc" in capsys.readouterr().out
         model = load_model(model_path)
-        assert model.estimator == "wpcr" and model.q in (2, 4)
+        assert model.config.estimator == "wpcr" and model.config.q in (2, 4)
 
     def test_cv_summary_counts_failed_points(self, tmp_path, capsys):
         train, _ = simulate(tmp_path)

@@ -272,8 +272,8 @@ class TestModelFile:
         save_model(model, path)
         back = load_model(path)
         assert np.array_equal(back.omega, model.omega)
-        assert back.intercept == model.intercept and back.lam == model.lam
-        assert back.q == 4 and back.estimator == "wpls"
+        assert back.intercept == model.intercept and back.config == model.config
+        assert back.config.q == 4 and back.config.estimator == "wpls"
         assert "loadings" not in json.loads(Path(path).read_text())
 
     def test_unknown_version_refused(self, tmp_path):
@@ -323,11 +323,8 @@ class TestModelFile:
 class TestExports:
     def make_model(self, omega, d=16, j0=2):
         return FittedModel(
-            estimator="wnet",
+            config=FitConfig(estimator="wnet", lam=0.5),
             basis=make_basis("db4", j0, d),
-            lam=0.5,
-            q=None,
-            tau=0.0,
             intercept=0.0,
             omega=omega,
             kkt_residual=0.0,

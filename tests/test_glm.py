@@ -6,10 +6,8 @@ import pytest
 from wavelogit.exceptions import ConvergenceError, DataError, DimensionError, SingularityError
 from wavelogit.glm import (
     LabeledCoefficients,
-    LinearModelState,
     _newton,
     irls_fit,
-    linear_predictor,
     link_logistic,
     neg_log_likelihood,
     nll_gradient,
@@ -18,13 +16,13 @@ from wavelogit.glm import (
 
 def random_instance(rng, n=30, d=6, scale=1.0):
     theta = rng.standard_normal((n, d))
-    state = LinearModelState(omega=scale * rng.standard_normal(d), intercept=scale * rng.standard_normal())
-    p = link_logistic(linear_predictor(state, theta))
+    omega, intercept = scale * rng.standard_normal(d), scale * rng.standard_normal()
+    p = link_logistic(theta @ omega + intercept)
     y = (rng.random(n) < p).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
     data = LabeledCoefficients(theta=theta, labels=y, j0=1)
-    return state, data
+    return (omega, intercept), data
 
 
 def two_branch_link(eta):
@@ -58,30 +56,6 @@ class TestLabeledCoefficients:
         data = LabeledCoefficients(theta=np.eye(4), labels=np.ones(4), j0=0)
         with pytest.raises(DataError):
             irls_fit(data)
-
-
-class TestLinearPredictor:
-    def test_zero_state(self):
-        state = LinearModelState(omega=np.zeros(5), intercept=0.0)
-        assert linear_predictor(state, np.arange(5.0)) == 0.0
-
-    def test_coordinate_projection(self):
-        state = LinearModelState(omega=np.eye(4)[0], intercept=0.0)
-        assert linear_predictor(state, np.array([3.0, -1.0, 2.0, 7.0])) == 3.0
-
-    def test_matches_summation_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            d = int(rng.integers(2, 20))
-            state = LinearModelState(omega=rng.standard_normal(d), intercept=rng.standard_normal())
-            row = rng.standard_normal(d)
-            oracle = state.intercept + sum(row[j] * state.omega[j] for j in range(d))
-            assert abs(linear_predictor(state, row) - oracle) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        state = LinearModelState(omega=np.zeros(5), intercept=0.0)
-        with pytest.raises(DimensionError):
-            linear_predictor(state, np.zeros(4))
 
 
 class TestLink:
@@ -141,24 +115,24 @@ class TestNegLogLikelihood:
         data = LabeledCoefficients(
             theta=rng.standard_normal((4, 2)), labels=np.array([0.0, 1.0, 0.0, 1.0]), j0=0
         )
-        state = LinearModelState(omega=np.zeros(2), intercept=0.0)
-        assert abs(neg_log_likelihood(state, data) - 4 * np.log(2.0)) <= 1e-12
+        assert abs(neg_log_likelihood(np.zeros(2), 0.0, data) - 4 * np.log(2.0)) <= 1e-12
 
     def test_saturated_fit_is_negligible(self):
         theta = np.array([[1.0, 0.0], [-1.0, 0.0]])
         data = LabeledCoefficients(theta=theta, labels=np.array([1.0, 0.0]), j0=0)
-        state = LinearModelState(omega=np.array([40.0, 0.0]), intercept=0.0)
-        assert neg_log_likelihood(state, data) <= 1e-12
+        assert neg_log_likelihood(np.array([40.0, 0.0]), 0.0, data) <= 1e-12
 
     def test_matches_termwise_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            state, data = random_instance(rng)
-            p = np.array([link_logistic(linear_predictor(state, row)) for row in data.theta])
+            (omega, intercept), data = random_instance(rng)
+            eta = [intercept + sum(row[j] * omega[j] for j in range(data.d)) for row in data.theta]
+            p = [link_logistic(e) for e in eta]
             oracle = -sum(
                 y * np.log(pi) + (1 - y) * np.log(1 - pi) for y, pi in zip(data.labels, p)
             )
-            assert abs(neg_log_likelihood(state, data) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            nll = neg_log_likelihood(omega, intercept, data)
+            assert abs(nll - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     def test_convexity_along_segments(self):
         """Midpoint NLL never exceeds the chord average."""
@@ -167,12 +141,9 @@ class TestNegLogLikelihood:
             _, data = random_instance(rng)
             w0, w1 = rng.standard_normal((2, data.d))
             b0, b1 = rng.standard_normal(2)
-            mid = LinearModelState(omega=(w0 + w1) / 2, intercept=(b0 + b1) / 2)
-            ends = [
-                neg_log_likelihood(LinearModelState(omega=w, intercept=b), data)
-                for w, b in ((w0, b0), (w1, b1))
-            ]
-            assert neg_log_likelihood(mid, data) <= (ends[0] + ends[1]) / 2 + 1e-10
+            ends = [neg_log_likelihood(w, b, data) for w, b in ((w0, b0), (w1, b1))]
+            mid = neg_log_likelihood((w0 + w1) / 2, (b0 + b1) / 2, data)
+            assert mid <= (ends[0] + ends[1]) / 2 + 1e-10
 
 
 class TestGradient:
@@ -181,13 +152,13 @@ class TestGradient:
         theta = rng.standard_normal((10, 3))
         labels = np.array([0.0, 1.0] * 5)
         data = LabeledCoefficients(theta=theta, labels=labels, j0=0)
-        _, gi = nll_gradient(LinearModelState(omega=np.zeros(3), intercept=0.0), data)
+        _, gi = nll_gradient(np.zeros(3), 0.0, data)
         assert abs(gi) <= 1e-12
 
     def test_saturated_observation_contributes_nothing(self):
         theta = np.array([[1.0, 0.0], [-1.0, 0.0]])
         data = LabeledCoefficients(theta=theta, labels=np.array([1.0, 0.0]), j0=0)
-        g, gi = nll_gradient(LinearModelState(omega=np.array([40.0, 0.0]), intercept=0.0), data)
+        g, gi = nll_gradient(np.array([40.0, 0.0]), 0.0, data)
         assert np.max(np.abs(g)) <= 1e-12 and abs(gi) <= 1e-12
 
     def test_matches_finite_differences(self):
@@ -195,17 +166,17 @@ class TestGradient:
         rng = np.random.default_rng(6)
         h = 1e-6
         for _ in range(100):
-            state, data = random_instance(rng, n=20, d=5)
-            g, gi = nll_gradient(state, data)
+            (omega, intercept), data = random_instance(rng, n=20, d=5)
+            g, gi = nll_gradient(omega, intercept, data)
             for j in range(data.d + 1):
                 def at(delta):
-                    w = state.omega.copy()
-                    b = state.intercept
+                    w = omega.copy()
+                    b = intercept
                     if j < data.d:
                         w[j] += delta
                     else:
                         b += delta
-                    return neg_log_likelihood(LinearModelState(omega=w, intercept=b), data)
+                    return neg_log_likelihood(w, b, data)
 
                 numeric = (at(h) - at(-h)) / (2 * h)
                 exact = g[j] if j < data.d else gi
@@ -213,13 +184,24 @@ class TestGradient:
                 assert abs(numeric - exact) / denom <= 1e-5
 
 
+@pytest.mark.parametrize("function", [neg_log_likelihood, nll_gradient])
+@pytest.mark.parametrize(
+    "omega",
+    [np.zeros(5), np.zeros(3), np.zeros((4, 1)), 0.0],
+    ids=["long", "short", "column", "scalar"],
+)
+def test_omega_must_match_theta_columns(function, omega):
+    data = LabeledCoefficients(theta=np.eye(4), labels=np.array([0.0, 1.0, 0.0, 1.0]), j0=0)
+    with pytest.raises(DimensionError):
+        function(omega, 0.0, data)
+
+
 class TestIrlsFit:
     def test_stationary_point(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             _, data = random_instance(rng, n=60, d=5, scale=0.5)
-            state = irls_fit(data, tol=1e-8)
-            g, gi = nll_gradient(state, data)
+            g, gi = nll_gradient(*irls_fit(data, tol=1e-8), data)
             assert max(np.max(np.abs(g)), abs(gi)) <= 1e-8
 
     def test_nested_model_improves_fit(self):
@@ -230,7 +212,7 @@ class TestIrlsFit:
         data = LabeledCoefficients(theta=theta, labels=y, j0=0)
         full = irls_fit(data, columns=[0])
         base = irls_fit(data, columns=[])
-        assert neg_log_likelihood(full, data) <= neg_log_likelihood(base, data)
+        assert neg_log_likelihood(*full, data) <= neg_log_likelihood(*base, data)
 
     def test_recovers_truth_on_large_sample(self):
         rng = np.random.default_rng(9)
@@ -240,26 +222,24 @@ class TestIrlsFit:
         theta = rng.standard_normal((n, d))
         p = link_logistic(theta @ omega_true + intercept_true)
         y = (rng.random(n) < p).astype(float)
-        state = irls_fit(LabeledCoefficients(theta=theta, labels=y, j0=0))
-        assert np.max(np.abs(state.omega - omega_true)) <= 0.1
-        assert abs(state.intercept - intercept_true) <= 0.1
+        omega, intercept = irls_fit(LabeledCoefficients(theta=theta, labels=y, j0=0))
+        assert np.max(np.abs(omega - omega_true)) <= 0.1
+        assert abs(intercept - intercept_true) <= 0.1
 
     def test_intercept_only_closed_form(self):
         rng = np.random.default_rng(10)
         theta = rng.standard_normal((40, 3))
         y = np.array([1.0] * 25 + [0.0] * 15)
         data = LabeledCoefficients(theta=theta, labels=y, j0=0)
-        state = irls_fit(data, columns=[])
-        expected = np.log(25 / 15)
-        assert abs(state.intercept - expected) <= 1e-10
-        assert np.all(state.omega == 0.0)
+        omega, intercept = irls_fit(data, columns=[])
+        assert abs(intercept - np.log(25 / 15)) <= 1e-10
+        assert np.all(omega == 0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         _, data = random_instance(rng, n=80, d=6)
-        s1 = irls_fit(data)
-        s2 = irls_fit(data)
-        assert np.array_equal(s1.omega, s2.omega) and s1.intercept == s2.intercept
+        (w1, b1), (w2, b2) = irls_fit(data), irls_fit(data)
+        assert np.array_equal(w1, w2) and b1 == b2
 
     @pytest.mark.parametrize("scale", [1e8, 1e10])
     def test_duplicate_large_columns_are_singular(self, scale):
@@ -323,10 +303,10 @@ class TestNewton:
         aug, y, _, _ = newton_instance(31)
         beta, steps = _newton(aug, y, np.zeros(5), 100, 1e-8)
         data = LabeledCoefficients(theta=aug[:, 1:], labels=y, j0=0)
-        state = irls_fit(data, max_iter=100, tol=1e-8)
+        omega, intercept = irls_fit(data, max_iter=100, tol=1e-8)
         assert steps >= 1
-        np.testing.assert_allclose(beta[1:], state.omega, rtol=0, atol=1e-10)
-        assert abs(beta[0] - state.intercept) <= 1e-10
+        np.testing.assert_allclose(beta[1:], omega, rtol=0, atol=1e-10)
+        assert abs(beta[0] - intercept) <= 1e-10
 
     def test_cap_carries_last_iterate(self):
         aug, y, a_mat, b = newton_instance(32)

@@ -12,11 +12,8 @@ from wavelogit.wavelet import WaveletBasis, dwt_forward, dwt_inverse, make_basis
 
 def make_model(omega=None, d=16, j0=2, family="db4", intercept=0.3, **overrides):
     fields = dict(
-        estimator="wnet",
+        config=FitConfig(estimator="wnet", lam=0.2),
         basis=WaveletBasis(family=family, j0=j0, d=d),
-        lam=0.2,
-        q=None,
-        tau=0.0,
         intercept=intercept,
         omega=np.zeros(d) if omega is None else omega,
         kkt_residual=1e-6,
@@ -28,8 +25,6 @@ def make_model(omega=None, d=16, j0=2, family="db4", intercept=0.3, **overrides)
 
 class TestFittedModel:
     def test_validation(self):
-        with pytest.raises(DataError):
-            make_model(estimator="bogus")
         with pytest.raises(DataError):
             make_model(family="bogus")
         with pytest.raises(DimensionError):
@@ -43,6 +38,10 @@ class TestFittedModel:
             make_model(j0=4)  # no detail levels left for d=16
         with pytest.raises(DataError):
             make_model(d=12, omega=np.zeros(12))
+        with pytest.raises(DataError):
+            make_model(iterations=2.5)
+        with pytest.raises(DataError):
+            make_model(iterations=-1)
 
     def test_predict_proba_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -77,8 +76,6 @@ class TestModelFromFit:
         solution = fit_estimator(data, config)
         basis = make_basis("db4", 2, 16)
         model = model_from_fit(solution, config, basis)
-        assert model.basis is basis
-        assert model.q is None
+        assert model.basis is basis and model.config is config
         assert np.array_equal(model.omega, solution.omega)
         assert model.intercept == solution.intercept
-        assert model.lam == 0.5 and model.estimator == "wnet"

@@ -10,7 +10,6 @@ from wavelogit.glm import (
     irls_fit,
     link_logistic,
     neg_log_likelihood,
-    nll_gradient,
 )
 from wavelogit.metrics import auc
 from wavelogit.penalized import (
@@ -60,7 +59,6 @@ class TestSoftThreshold:
 
 class TestLambdaMax:
     def test_zeroes_all_details_at_and_above(self):
-        rng = np.random.default_rng(2)
         for seed in range(5):
             data = random_instance(np.random.default_rng(seed), 60, 16)
             top = lambda_max(data)
@@ -122,10 +120,10 @@ class TestWnet:
         rng = np.random.default_rng(4)
         for _ in range(10):
             data = random_instance(rng, 200, 8, strength=0.8)
-            state = irls_fit(data)
+            omega, intercept = irls_fit(data)
             sol = fit_wnet(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-12, max_iter=20000))
-            np.testing.assert_allclose(sol.omega, state.omega, atol=1e-4)
-            assert abs(sol.intercept - state.intercept) <= 1e-4
+            np.testing.assert_allclose(sol.omega, omega, atol=1e-4)
+            assert abs(sol.intercept - intercept) <= 1e-4
 
     def test_kkt_certificate(self):
         rng = np.random.default_rng(5)
@@ -192,8 +190,8 @@ class TestReducedPenalized:
         data = random_instance(rng, 120, 16, strength=0.6)
         wnet = fit_estimator(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=20000))
         wpcr = fit_estimator(data, FitConfig(estimator="wpcr", lam=0.0, q=16))
-        nll_a = neg_log_likelihood(wnet.state(), data)
-        nll_b = neg_log_likelihood(wpcr.state(), data)
+        nll_a = neg_log_likelihood(wnet.omega, wnet.intercept, data)
+        nll_b = neg_log_likelihood(wpcr.omega, wpcr.intercept, data)
         assert abs(nll_a - nll_b) <= 1e-6
 
     def test_omega_is_exact_expansion(self):
@@ -355,7 +353,7 @@ class TestReducedUnpenalized:
         nlls = []
         for q in (1, 2, 4):
             sol = fit_estimator(data, FitConfig(estimator="wcr", lam=0.0, q=q, tau=0.0))
-            nlls.append(neg_log_likelihood(sol.state(), data))
+            nlls.append(neg_log_likelihood(sol.omega, sol.intercept, data))
         assert nlls[1] <= nlls[0] + 1e-8
         assert nlls[2] <= nlls[1] + 1e-8
 
@@ -478,3 +476,14 @@ class TestFitConfig:
     def test_wnet_ignores_q(self):
         config = FitConfig(estimator="wnet", lam=0.5)
         assert config.q is None
+
+    @pytest.mark.parametrize("q", [2.5, np.float64(2.0), True])
+    def test_q_must_be_an_integer(self, q):
+        """A non-integer q used to pass and fail later inside the reduction
+        with a bare TypeError."""
+        with pytest.raises(DataError, match="q must be an integer"):
+            FitConfig(estimator="wpcr", lam=0.1, q=q)
+
+    def test_numpy_integer_q_is_stored_as_int(self):
+        config = FitConfig(estimator="wpcr", lam=0.1, q=np.int64(4))
+        assert config.q == 4 and type(config.q) is int

@@ -199,7 +199,7 @@ class TestModelFileProperties:
         model = load_model(str(DATA_DIR / "model_v1_wpls.json"))
         probs_csv = (DATA_DIR / "model_v1_wpls_probs.csv").read_text()
         expected = [float(v) for v in probs_csv.split()[1:]]
-        assert model.estimator == "wpls" and model.q == 2
+        assert model.config.estimator == "wpls" and model.config.q == 2
         assert np.array_equal(model.predict_proba(curves), np.array(expected))
 
 
@@ -310,8 +310,8 @@ class TestMalformedFiles:
         except DataError:
             return
         assert isinstance(model, FittedModel)
-        FitConfig(estimator=model.estimator, lam=model.lam, q=model.q, tau=model.tau)
-        assert model.q is None or type(model.q) is int
+        assert isinstance(model.config, FitConfig)
+        assert model.config.q is None or type(model.config.q) is int
         assert type(model.iterations) is int and model.iterations >= 0
         assert np.isfinite(model.kkt_residual) and model.kkt_residual >= 0
         curves = np.linspace(-1.0, 1.0, 3 * model.basis.d).reshape(3, model.basis.d)
@@ -320,7 +320,5 @@ class TestMalformedFiles:
         save_model(model, str(path))
         again = load_model(str(path))
         assert np.array_equal(again.omega, model.omega)
-        assert (again.estimator, again.lam, again.q, again.tau, again.iterations) == (
-            model.estimator, model.lam, model.q, model.tau, model.iterations
-        )
+        assert again.config == model.config and again.iterations == model.iterations
         assert (again.intercept, again.kkt_residual) == (model.intercept, model.kkt_residual)

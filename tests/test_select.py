@@ -13,6 +13,7 @@ from wavelogit.glm import LabeledCoefficients, link_logistic, neg_log_likelihood
 from wavelogit.metrics import auc
 from wavelogit.penalized import FitConfig, PenalizedSolution, fit_estimator, lambda_max
 from wavelogit.select import (
+    FoldPlan,
     aicc,
     cross_validate,
     default_lambda_grid,
@@ -86,6 +87,19 @@ class TestMakeFolds:
             for count, n_cls in ((np.bincount(plan.assignments[labels == 1.0], minlength=k), n1),
                                  (np.bincount(plan.assignments[labels == 0.0], minlength=k), n0)):
                 assert np.all(np.abs(count - n_cls / k) <= 1.0)
+
+
+class TestFoldPlan:
+    def test_empty_fold_rejected(self):
+        """Fold 1 of k = 3 has no members, so cross-validation would score an
+        empty held-out set."""
+        with pytest.raises(DataError, match="fold 1 has no members"):
+            FoldPlan(assignments=[0, 0, 0, 0, 2, 2, 2, 2, 0, 2, 0, 2])
+
+    @pytest.mark.parametrize("assignments", [[], [0, 1, -1], [[0, 1], [1, 0]], [0, 0, 0]])
+    def test_malformed_plans_rejected(self, assignments):
+        with pytest.raises(DataError):
+            FoldPlan(assignments=assignments)
 
 
 class TestCrossValidate:
@@ -280,7 +294,7 @@ class TestAicc:
         omega = np.zeros(16)
         omega[3] = 0.7
         sol = self.make_solution(omega, -0.2)
-        nll = neg_log_likelihood(sol.state(), data)
+        nll = neg_log_likelihood(sol.omega, sol.intercept, data)
         expected = 2.0 * nll + 2.0 * 2 + 2.0 * 2 * 3 / (10 - 2 - 1)
         assert abs(aicc(sol, data) - expected) <= 1e-12
 
@@ -303,7 +317,7 @@ class TestAicc:
         rng = np.random.default_rng(14)
         data = planted_data(rng, 50)
         sol = fit_estimator(data, FitConfig(estimator="wpcr", lam=0.01, q=3))
-        nll = neg_log_likelihood(sol.state(), data)
+        nll = neg_log_likelihood(sol.omega, sol.intercept, data)
         k = 4  # three gamma entries plus the intercept
         expected = 2.0 * nll + 2.0 * k + 2.0 * k * (k + 1) / (50 - k - 1)
         assert abs(aicc(sol, data) - expected) <= 1e-12

@@ -80,7 +80,6 @@ class TestBasisValidation:
     def test_geometry_properties(self):
         b = make_basis("db2", j0=3, d=256)
         assert b.n_scale == 8
-        assert b.n_levels == 5
 
 
 class TestForwardExamples:
