@@ -58,6 +58,24 @@ class TestLabeledCoefficients:
             irls_fit(data)
 
 
+class TestLinearPredictor:
+    def test_matches_summation_oracle(self):
+        """The linear predictor intercept + theta @ omega equals an explicit
+        sum.  A row seen once with each label has intercept gradient
+        (p - 0) + (p - 1) = 2p - 1, which gives back p = link(eta)."""
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            d = int(rng.integers(2, 20))
+            omega, intercept = rng.standard_normal(d), rng.standard_normal()
+            row = rng.standard_normal(d)
+            oracle = intercept + sum(row[j] * omega[j] for j in range(d))
+            data = LabeledCoefficients(
+                theta=np.vstack([row, row]), labels=np.array([0.0, 1.0]), j0=0
+            )
+            _, gi = nll_gradient(omega, intercept, data)
+            assert abs((gi + 1.0) / 2.0 - link_logistic(oracle)) <= 1e-12
+
+
 class TestLink:
     def test_center_and_known_value(self):
         assert link_logistic(0.0) == 0.5
