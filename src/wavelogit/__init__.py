@@ -49,7 +49,7 @@ from .penalized import (
     fit_wnet,
     lambda_max,
 )
-from .reduce import ReducedBasis, pca_fit, pls_fit, soft_threshold, sparse_component_fit
+from .reduce import pca_fit, pls_fit, sparse_component_fit
 from .select import (
     FoldPlan,
     SelectionResult,
@@ -69,7 +69,6 @@ from .wavelet import (
     dwt_forward,
     dwt_inverse,
     make_basis,
-    transform_matrix,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "ParseError",
     "PenalizedSolution",
     "RankDeficiencyError",
-    "ReducedBasis",
     "RocCurve",
     "SelectionError",
     "SelectionResult",
@@ -134,8 +132,6 @@ __all__ = [
     "save_dataset",
     "save_model",
     "select_by_aicc",
-    "soft_threshold",
     "sparse_component_fit",
     "to_coefficients",
-    "transform_matrix",
 ]

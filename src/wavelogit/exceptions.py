@@ -1,4 +1,7 @@
-"""Exception hierarchy; the CLI maps these onto exit codes."""
+"""Exception hierarchy, which the CLI maps onto exit codes, and the integer
+check that every value type shares."""
+
+import numbers
 
 
 class WavelogitError(Exception):
@@ -72,3 +75,10 @@ class SelectionError(NumericalError):
 
 class CriterionUndefinedError(NumericalError):
     """An information criterion is undefined for the given fit (treated as +inf)."""
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an ``int``; a ``bool`` or any non-integral value raises DataError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)

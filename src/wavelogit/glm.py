@@ -21,6 +21,7 @@ from .exceptions import (
     DimensionError,
     SeparationError,
     SingularityError,
+    _as_int,
 )
 
 
@@ -37,6 +38,7 @@ class LabeledCoefficients:
         labels = np.asarray(self.labels, dtype=float)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "j0", _as_int(self.j0, "j0"))
         if theta.ndim != 2:
             raise DimensionError(f"theta must be 2-D, got ndim={theta.ndim}")
         n, d = theta.shape
@@ -182,24 +184,11 @@ def _newton(aug, y, beta, max_iter: int, tol: float, quad=None, separation_bound
 
 
 def irls_fit(
-    data: LabeledCoefficients,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    columns=None,
+    data: LabeledCoefficients, max_iter: int = 100, tol: float = 1e-8
 ) -> tuple[np.ndarray, float]:
-    """Unpenalized maximum-likelihood fit; returns (omega, intercept).
-
-    ``columns`` restricts the model to a subset of coefficient positions
-    (an empty list fits the intercept alone); omitted positions stay 0.
-    """
+    """Unpenalized maximum-likelihood fit; returns (omega, intercept)."""
     data.require_both_classes()
-    if columns is None:
-        cols = np.arange(data.d)
-    else:
-        cols = np.asarray(columns, dtype=int)
     beta, _ = _newton(
-        _with_intercept(data.theta[:, cols]), data.labels, np.zeros(cols.size + 1), max_iter, tol
+        _with_intercept(data.theta), data.labels, np.zeros(data.d + 1), max_iter, tol
     )
-    omega = np.zeros(data.d)
-    omega[cols] = beta[1:]
-    return omega, float(beta[0])
+    return beta[1:], float(beta[0])

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError
+from .exceptions import DataError, DimensionError, _as_int
 from .glm import link_logistic
-from .penalized import FitConfig, PenalizedSolution, _as_int
+from .penalized import FitConfig, PenalizedSolution
 from .wavelet import WaveletBasis, dwt_forward, dwt_inverse
 
 

@@ -20,10 +20,11 @@ penalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DataError, DimensionError, NumericalError
+from .exceptions import ConvergenceError, DataError, DimensionError, NumericalError, _as_int
 from .glm import (
     LabeledCoefficients,
     _newton,
@@ -34,7 +35,6 @@ from .glm import (
 from .reduce import (
     KIND_SPARSE_PCA,
     KIND_SPARSE_PLS,
-    ReducedBasis,
     pca_fit,
     pls_fit,
     soft_threshold,
@@ -50,12 +50,6 @@ ESTIMATORS = ("wnet", "wcr", "wls", "wpcr", "wpls")
 _BALANCE_RATIO = 10.0
 _RHO_STEP = 2.0
 _RELAXATION = 1.6
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,19 @@ class FitConfig:
     def __post_init__(self):
         if self.q is not None:
             object.__setattr__(self, "q", _as_int(self.q, "q"))
+        object.__setattr__(self, "max_iter", _as_int(self.max_iter, "max_iter"))
         if self.estimator not in ESTIMATORS:
             raise DataError(f"unknown estimator {self.estimator!r} (choose from {ESTIMATORS})")
-        if not (np.isfinite(self.lam) and np.isfinite(self.tau)):
-            raise DataError(f"lam and tau must be finite, got lam={self.lam}, tau={self.tau}")
+        for name in ("lam", "tau", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DataError(f"{name} must be a real number, got {value!r}")
+            if not np.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
+        if self.tol <= 0:
+            raise DataError(f"tol must be > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.lam < 0:
             raise DataError(f"penalty level must be >= 0, got {self.lam}")
         if self.estimator != "wnet" and (self.q is None or self.q < 1):
@@ -235,13 +238,17 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     )
 
 
-def _check_basis(data: LabeledCoefficients, basis: ReducedBasis):
-    if basis.d != data.d:
-        raise DimensionError(f"reduction built for d={basis.d}, data has d={data.d}")
+def _check_loadings(data: LabeledCoefficients, loadings) -> np.ndarray:
+    loadings = np.asarray(loadings, dtype=float)
+    if loadings.ndim != 2 or loadings.shape[0] != data.d:
+        raise DimensionError(
+            f"loadings must be a d x q matrix with d={data.d} rows, got shape {loadings.shape}"
+        )
+    return loadings
 
 
 def fit_reduced_penalized(
-    data: LabeledCoefficients, basis: ReducedBasis, config: FitConfig
+    data: LabeledCoefficients, loadings: np.ndarray, config: FitConfig
 ) -> PenalizedSolution:
     """Penalized fit constrained to omega = V_q @ gamma, solved by ADMM.
 
@@ -251,14 +258,14 @@ def fit_reduced_penalized(
     over-relaxed; the stopping test is on the primal and dual residuals.
     """
     data.require_both_classes()
-    _check_basis(data, basis)
+    loadings = _check_loadings(data, loadings)
     lam = config.lam
     y = data.labels
-    q = basis.q
+    q = loadings.shape[1]
     detail = _detail_mask(data)
     # design in gamma space, with an intercept column
-    design = _with_intercept(data.theta @ basis.loadings)
-    d_map = basis.loadings[detail]  # maps gamma to the penalized block
+    design = _with_intercept(data.theta @ loadings)
+    d_map = loadings[detail]  # maps gamma to the penalized block
     gram = d_map.T @ d_map
     rho = max(lam, 1.0)
 
@@ -308,7 +315,7 @@ def fit_reduced_penalized(
             residual=float(max(primal_res, dual_res)),
         )
     gamma = coef[1:]
-    omega = basis.loadings @ gamma
+    omega = loadings @ gamma
     # sparsity is read off the prox variable: the detail block of omega is
     # only feasibility-close to z, never exactly zero
     return PenalizedSolution(
@@ -323,22 +330,18 @@ def fit_reduced_penalized(
 
 
 def fit_reduced_unpenalized(
-    data: LabeledCoefficients, basis: ReducedBasis, config: FitConfig
+    data: LabeledCoefficients, loadings: np.ndarray, config: FitConfig
 ) -> PenalizedSolution:
-    """Maximum-likelihood fit of gamma on a sparse-reduced design by Newton."""
+    """Maximum-likelihood fit of gamma on a reduced design by Newton."""
     data.require_both_classes()
-    _check_basis(data, basis)
-    if basis.kind not in (KIND_SPARSE_PCA, KIND_SPARSE_PLS):
-        raise DataError(
-            f"unpenalized reduced fit expects a sparse reduction, got kind={basis.kind!r}"
-        )
-    aug = _with_intercept(data.theta @ basis.loadings)
+    loadings = _check_loadings(data, loadings)
+    aug = _with_intercept(data.theta @ loadings)
     nll_start = _nll_from_eta(np.zeros(data.n), data.labels)
     coef, iterations = _newton(
         aug, data.labels, np.zeros(aug.shape[1]), 200, 1e-8, separation_bound=1e3
     )
     gamma, intercept = coef[1:], float(coef[0])
-    omega = basis.loadings @ gamma
+    omega = loadings @ gamma
     nll_end, grad = _nll_grad(aug, data.labels, coef)
     detail = _detail_mask(data)
     return PenalizedSolution(
@@ -352,8 +355,8 @@ def fit_reduced_unpenalized(
     )
 
 
-def build_reduction(data: LabeledCoefficients, config: FitConfig) -> ReducedBasis | None:
-    """The reduction an estimator needs, fit on the training data; None for wnet."""
+def build_reduction(data: LabeledCoefficients, config: FitConfig) -> np.ndarray | None:
+    """The loadings an estimator needs, fit on the training data; None for wnet."""
     if config.estimator == "wnet":
         return None
     if config.estimator == "wpcr":
@@ -365,13 +368,13 @@ def build_reduction(data: LabeledCoefficients, config: FitConfig) -> ReducedBasi
 
 
 def fit_estimator(
-    data: LabeledCoefficients, config: FitConfig, basis: ReducedBasis | None = None
+    data: LabeledCoefficients, config: FitConfig, loadings: np.ndarray | None = None
 ) -> PenalizedSolution:
     """Dispatch a config to its solver, building the reduction if needed."""
     if config.estimator == "wnet":
         return fit_wnet(data, config)
-    if basis is None:
-        basis = build_reduction(data, config)
+    if loadings is None:
+        loadings = build_reduction(data, config)
     if config.estimator in ("wpcr", "wpls"):
-        return fit_reduced_penalized(data, basis, config)
-    return fit_reduced_unpenalized(data, basis, config)
+        return fit_reduced_penalized(data, loadings, config)
+    return fit_reduced_unpenalized(data, loadings, config)

@@ -224,11 +224,15 @@ def _score_grid(data: LabeledCoefficients, grid, criterion, values, messages) ->
     shared = _shared_reductions(data, [grid[i] for i in pending])
     for index in pending:
         config = grid[index]
-        basis = shared.get((config.estimator, config.tau))
-        if basis is not None:
-            basis = basis.leading(config.q) if config.q <= basis.q else None
+        loadings = shared.get((config.estimator, config.tau))
+        if loadings is not None and config.q <= loadings.shape[1]:
+            # the first q columns equal a fresh fit at q; a contiguous copy
+            # keeps the matrix products' bits those of the fresh fit too
+            loadings = np.ascontiguousarray(loadings[:, : config.q])
+        else:
+            loadings = None
         try:
-            values[index] = criterion(fit_estimator(data, config, basis=basis))
+            values[index] = criterion(fit_estimator(data, config, loadings=loadings))
         except CriterionUndefinedError as exc:
             values[index] = np.inf
             messages[index] = f"{type(exc).__name__}: {exc}"
@@ -267,6 +271,6 @@ def default_tau_grid(data: LabeledCoefficients, estimator: str, q: int):
     (the reduction at tau = 0)."""
     if estimator not in ("wcr", "wls"):
         raise DataError(f"tau grid only applies to wcr/wls, not {estimator!r}")
-    basis = build_reduction(data, FitConfig(estimator=estimator, q=q))
-    tau_med = float(np.median(np.abs(basis.loadings)))
+    loadings = build_reduction(data, FitConfig(estimator=estimator, q=q))
+    tau_med = float(np.median(np.abs(loadings)))
     return (0.0, tau_med, 2.0 * tau_med)

@@ -9,11 +9,10 @@ maps and energy is preserved.  Coefficient vectors are laid out as
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numbers
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError
+from .exceptions import DataError, DimensionError, _as_int
 
 # Extremal-phase Daubechies lowpass filters, named by vanishing-moment
 # count ("db4" has 4 vanishing moments, 8 taps).  Values are frozen from a
@@ -182,9 +181,7 @@ class WaveletBasis:
             known = ", ".join(sorted(FILTERS))
             raise DataError(f"unknown wavelet family {self.family!r} (supported: {known})")
         for name in ("j0", "d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not _is_power_of_two(self.d):
             raise DataError(f"signal length d={self.d} is not a power of two >= 2")
         if self.j0 < 0:
@@ -286,12 +283,6 @@ def dwt_inverse(theta, basis: WaveletBasis) -> np.ndarray:
             m *= 2
         out[:] = a
     return x[0] if squeeze else x
-
-
-def transform_matrix(basis: WaveletBasis) -> np.ndarray:
-    """Explicit d-by-d matrix W with W @ x == dwt_forward(x)."""
-    # row i of the batched transform of I is the transform of e_i, i.e. column i of W
-    return dwt_forward(np.eye(basis.d), basis).T
 
 
 def coefficient_levels(basis: WaveletBasis) -> np.ndarray:

@@ -318,3 +318,46 @@ class TestExitCodes:
             os.close(write_end)
         assert (child.returncode, child.stderr) == (2, "")
         (load_dataset if command == "simulate" else load_model)(str(out))
+
+
+# What ``cv`` selects on the README training set.  A change that moves a
+# selection on purpose updates these lines and says so.
+README_SELECTIONS = [
+    (
+        ["--method", "wnet", "--n-lambda", "4"],
+        "selected wnet: lambda=0.980962 (5-fold CV AUC = 0.814222 over 4 configurations, "
+        "1 of 4 failed)",
+    ),
+    (
+        # q=1 slices the reduction shared with q=4
+        ["--method", "wpcr", "--select", "aicc", "--n-lambda", "3", "--q-grid", "1,4"],
+        "selected wpcr: lambda=0.00211342, q=1 (AICc = 207.913 over 6 configurations)",
+    ),
+    (
+        ["--method", "wpls", "--select", "aicc", "--n-lambda", "3", "--q-grid", "1,4"],
+        "selected wpls: lambda=0.00211342, q=4 (AICc = 10.5241 over 6 configurations)",
+    ),
+    (
+        ["--method", "wls", "--q-grid", "1,2"],
+        "selected wls: lambda=0, q=2, tau=0.0575168 (5-fold CV AUC = 0.808 over 6 "
+        "configurations, 1 of 6 failed)",
+    ),
+    (
+        ["--method", "wcr", "--q-grid", "1,2"],
+        "selected wcr: lambda=0, q=1, tau=0.0540869 (5-fold CV AUC = 0.656 over 6 "
+        "configurations)",
+    ),
+]
+
+
+def test_readme_set_selections_are_pinned(tmp_path, capsys):
+    train, test = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+    assert main([
+        "simulate", "--out", train, "--test-out", test,
+        "--n-per-class", "75", "--n-test-per-class", "25", "--seed", "0",
+    ]) == 0
+    capsys.readouterr()
+    model = str(tmp_path / "m.json")
+    for args, summary in README_SELECTIONS:
+        assert main(["cv", "--data", train, *args, "--out", model, "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == summary

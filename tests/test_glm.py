@@ -52,6 +52,12 @@ class TestLabeledCoefficients:
         with pytest.raises(DataError):
             LabeledCoefficients(theta=np.zeros((1, 4)), labels=np.zeros(1), j0=0)
 
+    @pytest.mark.parametrize("j0", [1.5, "1", True])
+    def test_j0_must_be_an_integer(self, j0):
+        """1.5 used to fail with a bare TypeError from the shift 1 << j0."""
+        with pytest.raises(DataError, match="j0 must be an integer"):
+            LabeledCoefficients(theta=np.zeros((4, 8)), labels=np.array([0.0, 1.0] * 2), j0=j0)
+
     def test_single_class_blocks_fitting(self):
         data = LabeledCoefficients(theta=np.eye(4), labels=np.ones(4), j0=0)
         with pytest.raises(DataError):
@@ -223,13 +229,15 @@ class TestIrlsFit:
             assert max(np.max(np.abs(g)), abs(gi)) <= 1e-8
 
     def test_nested_model_improves_fit(self):
-        """A full model can only lower the NLL relative to intercept-only."""
+        """A full model can only lower the NLL relative to intercept-only,
+        which is the fit on all-zero columns."""
         theta = np.array([[-1.0], [-1.0], [-1.0], [1.0], [1.0], [1.0]])
         theta = np.column_stack([theta, np.zeros(6)])
         y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])  # one flip each side
         data = LabeledCoefficients(theta=theta, labels=y, j0=0)
-        full = irls_fit(data, columns=[0])
-        base = irls_fit(data, columns=[])
+        full = irls_fit(data)
+        base = irls_fit(LabeledCoefficients(theta=np.zeros_like(theta), labels=y, j0=0))
+        assert np.all(base[0] == 0.0)
         assert neg_log_likelihood(*full, data) <= neg_log_likelihood(*base, data)
 
     def test_recovers_truth_on_large_sample(self):
@@ -245,11 +253,10 @@ class TestIrlsFit:
         assert abs(intercept - intercept_true) <= 0.1
 
     def test_intercept_only_closed_form(self):
-        rng = np.random.default_rng(10)
-        theta = rng.standard_normal((40, 3))
+        """All-zero columns leave only the intercept, at the log odds."""
         y = np.array([1.0] * 25 + [0.0] * 15)
-        data = LabeledCoefficients(theta=theta, labels=y, j0=0)
-        omega, intercept = irls_fit(data, columns=[])
+        data = LabeledCoefficients(theta=np.zeros((40, 3)), labels=y, j0=0)
+        omega, intercept = irls_fit(data)
         assert abs(intercept - np.log(25 / 15)) <= 1e-10
         assert np.all(omega == 0.0)
 

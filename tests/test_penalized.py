@@ -17,10 +17,12 @@ from wavelogit.penalized import (
     _kkt_residual,
     build_reduction,
     fit_estimator,
+    fit_reduced_unpenalized,
     fit_wnet,
     lambda_max,
     soft_threshold,
 )
+from wavelogit.reduce import pca_fit, pls_fit
 from wavelogit.select import cross_validate, default_lambda_grid, make_folds
 from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
 
@@ -198,9 +200,9 @@ class TestReducedPenalized:
         rng = np.random.default_rng(11)
         for estimator in ("wpcr", "wpls"):
             data = random_instance(rng, 80, 16)
-            basis = build_reduction(data, FitConfig(estimator=estimator, lam=0.3, q=4))
-            sol = fit_estimator(data, FitConfig(estimator=estimator, lam=0.3, q=4), basis=basis)
-            assert np.array_equal(sol.omega, basis.loadings @ sol.gamma)
+            loadings = build_reduction(data, FitConfig(estimator=estimator, lam=0.3, q=4))
+            sol = fit_estimator(data, FitConfig(estimator=estimator, lam=0.3, q=4), loadings=loadings)
+            assert np.array_equal(sol.omega, loadings @ sol.gamma)
 
     def test_large_lambda_flattens_details(self):
         rng = np.random.default_rng(12)
@@ -251,11 +253,11 @@ def capped_instance():
     return data, default_lambda_grid(data, 10)
 
 
-def reduced_objective(data, basis, lam, coef):
+def reduced_objective(data, loadings, lam, coef):
     """NLL plus lam * ||D V_q gamma||_1 at coef = (intercept, gamma)."""
-    eta = coef[0] + data.theta @ (basis.loadings @ coef[1:])
+    eta = coef[0] + data.theta @ (loadings @ coef[1:])
     nll = float(np.sum(np.logaddexp(0.0, eta) - data.labels * eta))
-    return nll + lam * float(np.sum(np.abs(basis.loadings[data.n_scale :] @ coef[1:])))
+    return nll + lam * float(np.sum(np.abs(loadings[data.n_scale :] @ coef[1:])))
 
 
 class TestReducedAdmmConvergence:
@@ -272,15 +274,15 @@ class TestReducedAdmmConvergence:
         """Largest objective decrease over steps of 1e-5 along every
         +-coordinate and 50 seeded random unit directions from the fit."""
         config = FitConfig(estimator=estimator, lam=lam, q=4)
-        basis = build_reduction(data, config)
-        sol = fit_estimator(data, config, basis=basis)
+        loadings = build_reduction(data, config)
+        sol = fit_estimator(data, config, loadings=loadings)
         coef = np.concatenate([[sol.intercept], sol.gamma])
-        base = reduced_objective(data, basis, lam, coef)
+        base = reduced_objective(data, loadings, lam, coef)
         eye = np.eye(coef.size)
         random = np.random.default_rng(5).standard_normal((50, coef.size))
         random /= np.linalg.norm(random, axis=1, keepdims=True)
         moved = [
-            reduced_objective(data, basis, lam, coef + 1e-5 * direction)
+            reduced_objective(data, loadings, lam, coef + 1e-5 * direction)
             for direction in np.vstack([eye, -eye, random])
         ]
         return base - min(moved), sol
@@ -323,14 +325,14 @@ class TestReducedUnpenalized:
         data = LabeledCoefficients(theta=theta, labels=y, j0=1)
 
         config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
-        basis = build_reduction(data, config)
-        assert np.count_nonzero(basis.loadings[:, 0]) == 1
-        assert abs(abs(basis.loadings[0, 0]) - 1.0) <= 1e-12
+        loadings = build_reduction(data, config)
+        assert np.count_nonzero(loadings[:, 0]) == 1
+        assert abs(abs(loadings[0, 0]) - 1.0) <= 1e-12
 
-        sol = fit_estimator(data, config, basis=basis)
+        sol = fit_estimator(data, config, loadings=loadings)
         # univariate oracle: regress on the single projected column; the
         # design is uncentered so that omega = V gamma reproduces the fit
-        aug = np.column_stack([np.ones(n), theta @ basis.loadings])
+        aug = np.column_stack([np.ones(n), theta @ loadings])
         coef, _ = _newton(aug, y, np.zeros(2), max_iter=100, tol=1e-10)
         assert abs(sol.gamma[0] - coef[1]) <= 1e-8
         assert abs(sol.intercept - coef[0]) <= 1e-8
@@ -340,9 +342,9 @@ class TestReducedUnpenalized:
         for estimator in ("wcr", "wls"):
             data = random_instance(rng, 150, 16)
             config = FitConfig(estimator=estimator, lam=0.0, q=3, tau=0.0)
-            basis = build_reduction(data, config)
-            sol = fit_estimator(data, config, basis=basis)
-            aug = np.column_stack([np.ones(data.n), data.theta @ basis.loadings])
+            loadings = build_reduction(data, config)
+            sol = fit_estimator(data, config, loadings=loadings)
+            aug = np.column_stack([np.ones(data.n), data.theta @ loadings])
             coef, _ = _newton(aug, data.labels, np.zeros(4), max_iter=100, tol=1e-10)
             np.testing.assert_allclose(sol.gamma, coef[1:], atol=1e-8)
             assert abs(sol.intercept - coef[0]) <= 1e-8
@@ -364,35 +366,44 @@ class TestReducedUnpenalized:
         theta[:, 0] *= 8.0
         y = (theta[:, 0] > 0).astype(float)  # perfectly separable
         config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
-        basis = build_reduction(
+        loadings = build_reduction(
             LabeledCoefficients(theta=theta, labels=y, j0=1), config
         )
         # shrink the design so the diverging coefficient must cross the bound
         tiny = LabeledCoefficients(theta=theta * 1e-3, labels=y, j0=1)
         with pytest.raises(SeparationError):
-            fit_estimator(tiny, config, basis=basis)
+            fit_estimator(tiny, config, loadings=loadings)
 
-    def test_penalized_estimators_rejected(self):
+    @pytest.mark.parametrize("estimator, dense_fit", [("wcr", "pca"), ("wls", "pls")])
+    def test_dense_loadings_equal_the_tau_zero_fit(self, estimator, dense_fit):
+        """At tau = 0 a sparse reduction is the dense one, so the unpenalized
+        fit takes dense PCA/PLS loadings and gives the tau = 0 fit bit for bit."""
         rng = np.random.default_rng(20)
         data = random_instance(rng, 60, 8, j0=1)
-        from wavelogit.penalized import fit_reduced_unpenalized
-
-        config = FitConfig(estimator="wpcr", lam=0.0, q=2)
-        basis = build_reduction(data, config)
-        with pytest.raises(DataError):
-            fit_reduced_unpenalized(data, basis, config)
+        q = 2
+        config = FitConfig(estimator=estimator, q=q)
+        if dense_fit == "pca":
+            loadings = pca_fit(data.theta, q)
+        else:
+            loadings = pls_fit(data.theta, data.labels, q)
+        dense = fit_reduced_unpenalized(data, loadings, config)
+        sparse = fit_estimator(data, config)
+        assert np.array_equal(dense.omega, sparse.omega)
+        assert np.array_equal(dense.gamma, sparse.gamma)
+        assert dense.intercept == sparse.intercept
+        assert dense.iterations == sparse.iterations
 
     def test_sparse_loadings_give_exact_detail_zeros(self):
         rng = np.random.default_rng(21)
         data = random_instance(rng, 100, 16)
         config = FitConfig(estimator="wcr", lam=0.0, q=2, tau=0.5)
-        basis = build_reduction(data, config)
-        sol = fit_estimator(data, config, basis=basis)
+        loadings = build_reduction(data, config)
+        sol = fit_estimator(data, config, loadings=loadings)
         detail = sol.omega[data.n_scale :]
         expected = np.count_nonzero(detail)
         assert sol.nonzero_detail_count == expected
         # sparsity actually bit: some detail row of the loadings is zero
-        detail_rows = basis.loadings[data.n_scale :]
+        detail_rows = loadings[data.n_scale :]
         assert np.any(np.all(detail_rows == 0.0, axis=1))
 
 
@@ -487,3 +498,29 @@ class TestFitConfig:
     def test_numpy_integer_q_is_stored_as_int(self):
         config = FitConfig(estimator="wpcr", lam=0.1, q=np.int64(4))
         assert config.q == 4 and type(config.q) is int
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        """2.5 used to fail inside the solver with a bare TypeError, -3 to
+        report "did not converge in -3 iterations", and 0 to crash the ADMM."""
+        with pytest.raises(DataError, match="max_iter must be"):
+            FitConfig(estimator="wpcr", lam=0.1, q=2, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-7, "1e-7"])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        """A NaN tolerance used to run every wnet fit to the cap."""
+        with pytest.raises(DataError, match="tol must be"):
+            FitConfig(estimator="wnet", lam=0.1, tol=tol)
+
+    @pytest.mark.parametrize("field", ["lam", "tau"])
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_penalties_must_be_real_numbers(self, field, value):
+        """A string penalty used to fail with a bare TypeError from np.isfinite."""
+        with pytest.raises(DataError, match=f"{field} must be a real number"):
+            FitConfig(estimator="wcr", q=2, **{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        config = FitConfig(
+            estimator="wcr", lam=np.float64(0.0), q=2, tau=np.float32(0.5), max_iter=np.int64(7)
+        )
+        assert config.max_iter == 7 and type(config.max_iter) is int

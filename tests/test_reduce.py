@@ -7,11 +7,12 @@ from wavelogit.exceptions import DataError, RankDeficiencyError, SparsityError
 from wavelogit.reduce import (
     KIND_SPARSE_PCA,
     KIND_SPARSE_PLS,
-    ReducedBasis,
     pca_fit,
     pls_fit,
     sparse_component_fit,
 )
+
+from oracles import score_variances
 
 
 def planted_labels(rng, n):
@@ -22,44 +23,48 @@ def planted_labels(rng, n):
 
 
 class TestPcaFit:
+    """Each component's score variance is its covariance eigenvalue."""
+
     def test_two_point_instance(self):
         """Spread only along the first axis: loading e_1, eigenvalue 2."""
         theta = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        basis = pca_fit(theta, q=1)
-        np.testing.assert_allclose(basis.loadings[:, 0], [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(basis.scores_scale, [2.0], atol=1e-12)
+        loadings = pca_fit(theta, q=1)
+        np.testing.assert_allclose(loadings[:, 0], [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(score_variances(theta, loadings), [2.0], atol=1e-12)
 
     def test_isotropic_spectrum(self):
         d = 6
-        basis = pca_fit(np.eye(d), q=d - 1)
-        spread = basis.scores_scale.max() - basis.scores_scale.min()
+        theta = np.eye(d)
+        loadings = pca_fit(theta, q=d - 1)
+        eigenvalues = score_variances(theta, loadings)
+        spread = eigenvalues.max() - eigenvalues.min()
         assert spread <= 1e-10
-        gram = basis.loadings.T @ basis.loadings
+        gram = loadings.T @ loadings
         np.testing.assert_allclose(gram, np.eye(d - 1), atol=1e-10)
 
     def test_full_rank_reconstructs_covariance(self):
         rng = np.random.default_rng(0)
         theta = rng.standard_normal((50, 16))
-        basis = pca_fit(theta, q=16)
+        loadings = pca_fit(theta, q=16)
         centered = theta - theta.mean(axis=0)
         cov = centered.T @ centered / 49
-        rebuilt = basis.loadings @ np.diag(basis.scores_scale) @ basis.loadings.T
+        rebuilt = loadings @ np.diag(score_variances(theta, loadings)) @ loadings.T
         assert np.linalg.norm(rebuilt - cov) <= 1e-8
 
     def test_eigenvalue_sum_is_total_variance(self):
         rng = np.random.default_rng(1)
         theta = rng.standard_normal((30, 8)) * rng.uniform(0.5, 3.0, size=8)
-        basis = pca_fit(theta, q=8)
+        loadings = pca_fit(theta, q=8)
         centered = theta - theta.mean(axis=0)
         total = np.trace(centered.T @ centered / 29)
-        assert abs(basis.scores_scale.sum() - total) / total <= 1e-8
+        assert abs(score_variances(theta, loadings).sum() - total) / total <= 1e-8
 
     def test_projection_preserves_row_norms_at_full_q(self):
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((20, 8))
-        basis = pca_fit(theta, q=8)
+        loadings = pca_fit(theta, q=8)
         centered = theta - theta.mean(axis=0)
-        projected = centered @ basis.loadings
+        projected = centered @ loadings
         np.testing.assert_allclose(
             np.linalg.norm(projected, axis=1), np.linalg.norm(centered, axis=1), rtol=1e-8
         )
@@ -68,9 +73,9 @@ class TestPcaFit:
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta = rng.standard_normal((15, 5))
-            basis = pca_fit(theta, q=4)
+            loadings = pca_fit(theta, q=4)
             for k in range(4):
-                v = basis.loadings[:, k]
+                v = loadings[:, k]
                 assert v[np.argmax(np.abs(v))] > 0
 
     def test_q_out_of_range(self):
@@ -83,10 +88,7 @@ class TestPcaFit:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((25, 10))
-        b1 = pca_fit(theta, q=5)
-        b2 = pca_fit(theta, q=5)
-        assert np.array_equal(b1.loadings, b2.loadings)
-        assert np.array_equal(b1.scores_scale, b2.scores_scale)
+        assert np.array_equal(pca_fit(theta, q=5), pca_fit(theta, q=5))
 
 
 class TestPlsFit:
@@ -98,18 +100,18 @@ class TestPlsFit:
         noise = rng.standard_normal(n)
         noise -= noise @ y_c / (y_c @ y_c) * y_c  # orthogonal to the label signal
         theta = np.column_stack([y_c, noise])
-        basis = pls_fit(theta, labels, q=1)
-        np.testing.assert_allclose(np.abs(basis.loadings[:, 0]), [1.0, 0.0], atol=1e-8)
+        loadings = pls_fit(theta, labels, q=1)
+        np.testing.assert_allclose(np.abs(loadings[:, 0]), [1.0, 0.0], atol=1e-8)
 
     def test_first_component_closed_form(self):
         """Component 1 is the normalized covariance vector of centered data."""
         rng = np.random.default_rng(6)
         theta = rng.standard_normal((60, 8))
         labels = planted_labels(rng, 60)
-        basis = pls_fit(theta, labels, q=2)
+        loadings = pls_fit(theta, labels, q=2)
         centered = theta - theta.mean(axis=0)
         w = centered.T @ (labels - labels.mean())
-        np.testing.assert_allclose(basis.loadings[:, 0], w / np.linalg.norm(w), atol=1e-10)
+        np.testing.assert_allclose(loadings[:, 0], w / np.linalg.norm(w), atol=1e-10)
 
     def test_single_class_rejected(self):
         theta = np.zeros((4, 3))
@@ -120,12 +122,12 @@ class TestPlsFit:
         rng = np.random.default_rng(7)
         theta = rng.standard_normal((40, 10))
         labels = planted_labels(rng, 40)
-        basis = pls_fit(theta, labels, q=4)
+        loadings = pls_fit(theta, labels, q=4)
         centered = theta - theta.mean(axis=0)
         residual = centered.copy()
         scores = []
         for k in range(4):
-            t = residual @ basis.loadings[:, k]
+            t = residual @ loadings[:, k]
             scores.append(t)
             residual = residual - np.outer(t, residual.T @ t / (t @ t))
         for a in range(4):
@@ -149,9 +151,7 @@ class TestSparseComponents:
         theta = rng.standard_normal((30, 12)) * rng.uniform(0.5, 2.5, size=12)
         dense = pca_fit(theta, q=4)
         sparse = sparse_component_fit(theta, None, q=4, sparsity=0.0, kind=KIND_SPARSE_PCA)
-        assert sparse.kind == KIND_SPARSE_PCA
-        np.testing.assert_array_equal(sparse.loadings, dense.loadings)
-        np.testing.assert_array_equal(sparse.scores_scale, dense.scores_scale)
+        np.testing.assert_array_equal(sparse, dense)
 
     def test_tau_zero_matches_dense_pls(self):
         rng = np.random.default_rng(9)
@@ -159,17 +159,15 @@ class TestSparseComponents:
         labels = planted_labels(rng, 40)
         dense = pls_fit(theta, labels, q=3)
         sparse = sparse_component_fit(theta, labels, q=3, sparsity=0.0, kind=KIND_SPARSE_PLS)
-        assert sparse.kind == KIND_SPARSE_PLS
-        np.testing.assert_array_equal(sparse.loadings, dense.loadings)
-        np.testing.assert_array_equal(sparse.scores_scale, dense.scores_scale)
+        np.testing.assert_array_equal(sparse, dense)
 
     def test_single_active_coordinate(self):
         rng = np.random.default_rng(10)
         n = 50
         theta = np.zeros((n, 6))
         theta[:, 2] = rng.standard_normal(n) * 5.0
-        basis = sparse_component_fit(theta, None, q=1, sparsity=0.5, kind=KIND_SPARSE_PCA)
-        np.testing.assert_allclose(np.abs(basis.loadings[:, 0]), np.eye(6)[2], atol=1e-10)
+        loadings = sparse_component_fit(theta, None, q=1, sparsity=0.5, kind=KIND_SPARSE_PCA)
+        np.testing.assert_allclose(np.abs(loadings[:, 0]), np.eye(6)[2], atol=1e-10)
 
     def test_planted_support_recovered(self):
         """With tau sized to keep ~4 coordinates, most mass sits on the truth."""
@@ -180,8 +178,8 @@ class TestSparseComponents:
         factor[support] = np.array([1.0, -0.8, 0.9, 0.7])
         scores = rng.standard_normal(n) * 3.0
         theta = np.outer(scores, factor) + 0.3 * rng.standard_normal((n, d))
-        basis = sparse_component_fit(theta, None, q=1, sparsity=0.2, kind=KIND_SPARSE_PCA)
-        v = basis.loadings[:, 0]
+        loadings = sparse_component_fit(theta, None, q=1, sparsity=0.2, kind=KIND_SPARSE_PCA)
+        v = loadings[:, 0]
         assert np.sum(v[support] ** 2) >= 0.7
 
     def test_too_much_sparsity_raises(self):
@@ -197,14 +195,14 @@ class TestSparseComponents:
         theta = rng.standard_normal((60, 8))
         labels = planted_labels(rng, 60)
         tau = 0.15
-        basis = sparse_component_fit(theta, labels, q=1, sparsity=tau, kind=KIND_SPARSE_PLS)
+        loadings = sparse_component_fit(theta, labels, q=1, sparsity=tau, kind=KIND_SPARSE_PLS)
         centered = theta - theta.mean(axis=0)
         w = centered.T @ (labels - labels.mean())
         w /= np.linalg.norm(w)
         expected = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
         expected /= np.linalg.norm(expected)
         assert np.count_nonzero(expected) < 8  # the threshold actually bites
-        np.testing.assert_allclose(basis.loadings[:, 0], expected, atol=1e-10)
+        np.testing.assert_allclose(loadings[:, 0], expected, atol=1e-10)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DataError):
@@ -225,30 +223,30 @@ class TestReduceExpand:
     def test_expand_unit_gamma_gives_column(self):
         rng = np.random.default_rng(14)
         theta = rng.standard_normal((20, 6))
-        basis = pca_fit(theta, q=3)
+        loadings = pca_fit(theta, q=3)
         gamma = np.eye(3)[0]
-        np.testing.assert_allclose(basis.loadings @ gamma, basis.loadings[:, 0], atol=0)
+        np.testing.assert_allclose(loadings @ gamma, loadings[:, 0], atol=0)
 
     def test_pca_full_q_round_trip(self):
         rng = np.random.default_rng(15)
         theta = rng.standard_normal((20, 8))
-        basis = pca_fit(theta, q=8)
+        loadings = pca_fit(theta, q=8)
         centered = theta - theta.mean(axis=0)
-        back = (centered @ basis.loadings) @ basis.loadings.T
+        back = (centered @ loadings) @ loadings.T
         np.testing.assert_allclose(back, centered, atol=1e-8)
 
     def test_reduce_after_expand_is_identity(self):
         rng = np.random.default_rng(16)
         theta = rng.standard_normal((25, 10))
-        basis = pca_fit(theta, q=4)
+        loadings = pca_fit(theta, q=4)
         for _ in range(20):
             gamma = rng.standard_normal(4)
-            back = (basis.loadings @ gamma) @ basis.loadings  # V^T V gamma
+            back = (loadings @ gamma) @ loadings  # V^T V gamma
             np.testing.assert_allclose(back, gamma, atol=1e-10)
 
 
 class TestLeading:
-    """Slicing a fit at q_max reproduces the fit at every smaller q bit for bit."""
+    """The first q columns of a fit at q_max are the fit at q, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["pca", "pls"])
     def test_slice_equals_fresh_fit(self, kind):
@@ -260,33 +258,9 @@ class TestLeading:
             return pca_fit(theta, q) if kind == "pca" else pls_fit(theta, labels, q)
 
         full = fit(12)
+        assert np.max(np.abs(np.linalg.norm(full, axis=0) - 1.0)) <= 1e-10
         for q in range(1, 13):
-            fresh, sliced = fit(q), full.leading(q)
-            assert sliced.kind == fresh.kind
-            assert np.array_equal(sliced.loadings, fresh.loadings)
-            assert np.array_equal(sliced.scores_scale, fresh.scores_scale)
-            assert sliced.loadings.flags.c_contiguous == fresh.loadings.flags.c_contiguous
-
-    def test_q_out_of_range(self):
-        basis = pca_fit(np.random.default_rng(32).standard_normal((10, 6)), 3)
-        for q in (0, 4):
-            with pytest.raises(DataError):
-                basis.leading(q)
-
-
-class TestReducedBasisValidation:
-    def test_rejects_non_unit_columns(self):
-        with pytest.raises(DataError):
-            ReducedBasis(
-                loadings=np.array([[2.0], [0.0]]),
-                scores_scale=np.array([1.0]),
-                kind="pca",
-            )
-
-    def test_rejects_increasing_eigenvalues(self):
-        with pytest.raises(DataError):
-            ReducedBasis(
-                loadings=np.eye(2),
-                scores_scale=np.array([1.0, 2.0]),
-                kind="pca",
-            )
+            fresh, sliced = fit(q), np.ascontiguousarray(full[:, :q])
+            assert np.max(np.abs(np.linalg.norm(fresh, axis=0) - 1.0)) <= 1e-10
+            assert np.array_equal(sliced, fresh)
+            assert sliced.flags.c_contiguous == fresh.flags.c_contiguous

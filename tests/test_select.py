@@ -149,8 +149,8 @@ class TestCrossValidate:
         """Flipping held-out labels changes held-out AUC but not the fits."""
         fits = []
 
-        def recording_fit(train_data, config, basis=None):
-            solution = fit_estimator(train_data, config, basis=basis)
+        def recording_fit(train_data, config, loadings=None):
+            solution = fit_estimator(train_data, config, loadings=loadings)
             fits.append(solution)
             return solution
 
@@ -253,9 +253,9 @@ class TestCrossValidate:
         """A config that fails on the first fold is fit once, not once per fold."""
         calls = []
 
-        def counting_fit(train_data, config, basis=None):
+        def counting_fit(train_data, config, loadings=None):
             calls.append(config)
-            return fit_estimator(train_data, config, basis=basis)
+            return fit_estimator(train_data, config, loadings=loadings)
 
         monkeypatch.setattr("wavelogit.select.fit_estimator", counting_fit)
         rng = np.random.default_rng(23)

@@ -14,8 +14,9 @@ from wavelogit.wavelet import (
     dwt_forward,
     dwt_inverse,
     make_basis,
-    transform_matrix,
 )
+
+from oracles import transform_matrix
 
 ALL_FAMILIES = sorted(FILTERS)
 
