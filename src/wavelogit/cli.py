@@ -28,7 +28,7 @@ from .dataio import (
 from .exceptions import DataError, NumericalError
 from .metrics import auc, discrimination_verdict
 from .model import model_from_fit
-from .penalized import ESTIMATORS, FitConfig, fit_estimator
+from .penalized import _TAXONOMY, ESTIMATORS, FitConfig, fit_estimator
 from .select import (
     cross_validate,
     default_lambda_grid,
@@ -190,31 +190,25 @@ def _cmd_fit(args) -> int:
 
 
 def _build_grid(args, data) -> list:
-    method = args.method
+    # a parameter the method does not take gets the one value FitConfig
+    # accepts for it, so a flag that sets it exits 2
+    kind, penalized = _TAXONOMY[args.method]
     if args.lambda_grid is not None:
         lam_grid = _comma_list(args.lambda_grid, float, "--lambda-grid")
-    elif method in ("wcr", "wls"):
-        lam_grid = (0.0,)
     else:
-        lam_grid = tuple(default_lambda_grid(data, args.n_lambda))
-    if method == "wnet":
-        return [FitConfig(estimator=method, lam=lam) for lam in lam_grid]
+        lam_grid = tuple(default_lambda_grid(data, args.n_lambda)) if penalized else (0.0,)
     if args.q_grid is not None:
         q_grid = _comma_list(args.q_grid, int, "--q-grid")
     else:
-        q_grid = default_q_grid(data.n, data.d)
-    if method in ("wpcr", "wpls"):
-        return [
-            FitConfig(estimator=method, lam=lam, q=q) for q in q_grid for lam in lam_grid
-        ]
-    grid = []
-    for q in q_grid:
+        q_grid = (None,) if kind is None else default_q_grid(data.n, data.d)
+
+    def taus(q):
         if args.tau_grid is not None:
-            tau_grid = _comma_list(args.tau_grid, float, "--tau-grid")
-        else:
-            tau_grid = default_tau_grid(data, method, q)
-        grid.extend(FitConfig(estimator=method, lam=0.0, q=q, tau=tau) for tau in tau_grid)
-    return grid
+            return _comma_list(args.tau_grid, float, "--tau-grid")
+        return (0.0,) if penalized else default_tau_grid(data, args.method, q)
+
+    points = ((q, tau, lam) for q in q_grid for tau in taus(q) for lam in lam_grid)
+    return [FitConfig(args.method, lam=lam, q=q, tau=tau) for q, tau, lam in points]
 
 
 def _cmd_cv(args) -> int:
@@ -228,13 +222,14 @@ def _cmd_cv(args) -> int:
         folds = make_folds(data.labels, args.folds, seed=args.seed)
         result = cross_validate(data, grid, folds)
     best = result.best_config
+    _, penalized = _TAXONOMY[best.estimator]
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
     failed = sum(message is not None for message in result.messages)
     _fit_and_save(data, best, basis, args.out)
     print(
         f"selected {best.estimator}: lambda={best.lam:.6g}"
         + (f", q={best.q}" if best.q is not None else "")
-        + (f", tau={best.tau:.6g}" if best.estimator in ("wcr", "wls") else "")
+        + (f", tau={best.tau:.6g}" if not penalized else "")
         + f" ({label} = {result.best_criterion:.6g} over {len(grid)} configurations"
         + (f", {failed} of {len(grid)} failed)" if failed else ")")
     )

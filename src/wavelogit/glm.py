@@ -48,6 +48,8 @@ class LabeledCoefficients:
             )
         if n < 2 or d < 2:
             raise DataError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+        if not np.all(np.isfinite(theta)):
+            raise DataError("coefficients must be finite")
         if not np.all((labels == 0.0) | (labels == 1.0)):
             raise DataError("labels must contain only 0 and 1")
         if self.j0 < 0 or (1 << self.j0) >= d:

@@ -32,16 +32,17 @@ from .glm import (
     _nll_grad,
     _with_intercept,
 )
-from .reduce import (
-    KIND_SPARSE_PCA,
-    KIND_SPARSE_PLS,
-    pca_fit,
-    pls_fit,
-    soft_threshold,
-    sparse_component_fit,
-)
+from .reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, sparse_component_fit
 
-ESTIMATORS = ("wnet", "wcr", "wls", "wpcr", "wpls")
+# estimator -> (the reduction it fits in, or None; whether lam is its l1 penalty)
+_TAXONOMY = {
+    "wnet": (None, True),
+    "wcr": (KIND_SPARSE_PCA, False),
+    "wls": (KIND_SPARSE_PLS, False),
+    "wpcr": (KIND_SPARSE_PCA, True),
+    "wpls": (KIND_SPARSE_PLS, True),
+}
+ESTIMATORS = tuple(_TAXONOMY)
 
 # ADMM penalty adaptation (Boyd et al. 2011, Distributed Optimization and
 # Statistical Learning via ADMM, sections 3.4.1 and 3.4.3): rho is scaled by
@@ -56,6 +57,8 @@ _RELAXATION = 1.6
 class FitConfig:
     """Estimator choice plus its tuning parameters and solver limits.
 
+    A reduced estimator takes ``q``, a penalized one ``lam`` and the others
+    ``tau``; a parameter the estimator does not take must keep its default.
     ``tol`` (relative objective change) governs ``wnet`` only: the ADMM of
     ``wpcr``/``wpls`` stops on fixed primal and dual residual thresholds,
     and every Newton solve (``wcr``/``wls`` fits, ADMM gamma-updates, null
@@ -80,18 +83,21 @@ class FitConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DataError(f"{name} must be a real number, got {value!r}")
-            if not np.isfinite(value):
-                raise DataError(f"{name} must be finite, got {value}")
+            if not (np.isfinite(value) and value >= 0):
+                raise DataError(f"{name} must be finite and >= 0, got {value}")
         if self.tol <= 0:
             raise DataError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.lam < 0:
-            raise DataError(f"penalty level must be >= 0, got {self.lam}")
-        if self.estimator != "wnet" and (self.q is None or self.q < 1):
+        kind, penalized = _TAXONOMY[self.estimator]
+        if kind is None and self.q is not None:
+            raise DataError(f"estimator {self.estimator!r} takes no q, got q={self.q}")
+        if kind is not None and (self.q is None or self.q < 1):
             raise DataError(f"estimator {self.estimator!r} needs a component count q >= 1")
-        if self.tau < 0:
-            raise DataError(f"sparse-reduction threshold must be >= 0, got {self.tau}")
+        if penalized and self.tau != 0:
+            raise DataError(f"estimator {self.estimator!r} takes no tau, got tau={self.tau}")
+        if not penalized and self.lam != 0:
+            raise DataError(f"estimator {self.estimator!r} takes no lambda, got lambda={self.lam}")
 
 
 @dataclass(frozen=True)
@@ -239,6 +245,8 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
 
 
 def _check_loadings(data: LabeledCoefficients, loadings) -> np.ndarray:
+    """``loadings`` as a d x q array; ``data`` must hold both classes."""
+    data.require_both_classes()
     loadings = np.asarray(loadings, dtype=float)
     if loadings.ndim != 2 or loadings.shape[0] != data.d:
         raise DimensionError(
@@ -257,7 +265,6 @@ def fit_reduced_penalized(
     rho adapts by residual balancing and the z- and dual updates are
     over-relaxed; the stopping test is on the primal and dual residuals.
     """
-    data.require_both_classes()
     loadings = _check_loadings(data, loadings)
     lam = config.lam
     y = data.labels
@@ -333,7 +340,6 @@ def fit_reduced_unpenalized(
     data: LabeledCoefficients, loadings: np.ndarray, config: FitConfig
 ) -> PenalizedSolution:
     """Maximum-likelihood fit of gamma on a reduced design by Newton."""
-    data.require_both_classes()
     loadings = _check_loadings(data, loadings)
     aug = _with_intercept(data.theta @ loadings)
     nll_start = _nll_from_eta(np.zeros(data.n), data.labels)
@@ -357,13 +363,9 @@ def fit_reduced_unpenalized(
 
 def build_reduction(data: LabeledCoefficients, config: FitConfig) -> np.ndarray | None:
     """The loadings an estimator needs, fit on the training data; None for wnet."""
-    if config.estimator == "wnet":
+    kind = _TAXONOMY[config.estimator][0]
+    if kind is None:
         return None
-    if config.estimator == "wpcr":
-        return pca_fit(data.theta, config.q)
-    if config.estimator == "wpls":
-        return pls_fit(data.theta, data.labels, config.q)
-    kind = KIND_SPARSE_PCA if config.estimator == "wcr" else KIND_SPARSE_PLS
     return sparse_component_fit(data.theta, data.labels, config.q, config.tau, kind)
 
 
@@ -371,10 +373,10 @@ def fit_estimator(
     data: LabeledCoefficients, config: FitConfig, loadings: np.ndarray | None = None
 ) -> PenalizedSolution:
     """Dispatch a config to its solver, building the reduction if needed."""
-    if config.estimator == "wnet":
+    kind, penalized = _TAXONOMY[config.estimator]
+    if kind is None:
         return fit_wnet(data, config)
     if loadings is None:
         loadings = build_reduction(data, config)
-    if config.estimator in ("wpcr", "wpls"):
-        return fit_reduced_penalized(data, loadings, config)
-    return fit_reduced_unpenalized(data, loadings, config)
+    solver = fit_reduced_penalized if penalized else fit_reduced_unpenalized
+    return solver(data, loadings, config)

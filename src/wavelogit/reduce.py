@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DataError, DimensionError, RankDeficiencyError, SparsityError
+from .exceptions import DataError, DimensionError, RankDeficiencyError, SparsityError, _as_int
 
 KIND_SPARSE_PCA = "sparse_pca"
 KIND_SPARSE_PLS = "sparse_pls"
 
 
 def _check_q(theta: np.ndarray, q: int):
+    _as_int(q, "q")
     n, d = theta.shape
     if n < 2:
         raise DataError(f"reduction needs n >= 2 rows, got n={n}")

@@ -20,19 +20,18 @@ from .exceptions import (
     DataError,
     NumericalError,
     SelectionError,
+    _as_int,
 )
 from .glm import LabeledCoefficients, link_logistic, neg_log_likelihood
 from .metrics import auc
 from .penalized import (
+    _TAXONOMY,
     FitConfig,
     PenalizedSolution,
     build_reduction,
     fit_estimator,
     lambda_max,
 )
-
-CRITERION_CV_AUC = "cv_auc"
-CRITERION_AICC = "aicc"
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,9 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
     per-class counts and total fold sizes within one of each other.
     """
     labels = np.asarray(labels, dtype=float)
-    if k < 2:
+    if _as_int(k, "k") < 2:
         raise DataError(f"need at least 2 folds, got k={k}")
-    if seed < 0:
+    if _as_int(seed, "seed") < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise DataError("labels must contain only 0 and 1")
@@ -129,11 +128,11 @@ def _check_grid(grid) -> tuple:
     return grid
 
 
-def _selection(kind: str, grid: tuple, values: np.ndarray, messages) -> SelectionResult:
+def _selection(grid: tuple, values: np.ndarray, messages, pick) -> SelectionResult:
     finite = np.isfinite(values)
     if not np.any(finite):
         raise SelectionError("every grid point failed or was undefined")
-    best = np.max(values[finite]) if kind == CRITERION_CV_AUC else np.min(values[finite])
+    best = pick(values[finite])
     candidates = [i for i in np.nonzero(finite)[0] if values[i] == best]
     return SelectionResult(
         configs=grid,
@@ -168,7 +167,7 @@ def cross_validate(data: LabeledCoefficients, grid, folds: FoldPlan) -> Selectio
             theta=data.theta[train], labels=data.labels[train], j0=data.j0
         )
         _score_grid(train_data, grid, _heldout_auc(data, test), scores[:, fold], messages)
-    return _selection(CRITERION_CV_AUC, grid, scores.mean(axis=1), messages)
+    return _selection(grid, scores.mean(axis=1), messages, np.max)
 
 
 def aicc(solution: PenalizedSolution, data: LabeledCoefficients) -> float:
@@ -247,12 +246,12 @@ def select_by_aicc(data: LabeledCoefficients, grid) -> SelectionResult:
     values = np.zeros(len(grid))
     messages = [None] * len(grid)
     _score_grid(data, grid, lambda solution: aicc(solution, data), values, messages)
-    return _selection(CRITERION_AICC, grid, values, messages)
+    return _selection(grid, values, messages, np.min)
 
 
 def default_lambda_grid(data: LabeledCoefficients, num: int = 20) -> np.ndarray:
     """Logarithmic grid from 1e-4*lambda_max up to lambda_max."""
-    if num < 1:
+    if _as_int(num, "num") < 1:
         raise DataError(f"the lambda grid needs at least one point, got {num}")
     top = lambda_max(data)
     if top <= 0.0:
@@ -269,8 +268,8 @@ def default_q_grid(n: int, d: int):
 def default_tau_grid(data: LabeledCoefficients, estimator: str, q: int):
     """{0, tau_med, 2*tau_med}, tau_med = median |entry| of the dense loadings
     (the reduction at tau = 0)."""
-    if estimator not in ("wcr", "wls"):
-        raise DataError(f"tau grid only applies to wcr/wls, not {estimator!r}")
-    loadings = build_reduction(data, FitConfig(estimator=estimator, q=q))
-    tau_med = float(np.median(np.abs(loadings)))
+    config = FitConfig(estimator=estimator, q=q)
+    if _TAXONOMY[estimator][1]:
+        raise DataError(f"estimator {estimator!r} takes no loading threshold tau")
+    tau_med = float(np.median(np.abs(build_reduction(data, config))))
     return (0.0, tau_med, 2.0 * tau_med)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import CurveDataset
-from .exceptions import DataError
+from .exceptions import DataError, _as_int
 from .wavelet import (
     DEFAULT_FAMILY,
     DEFAULT_J0,
@@ -48,9 +48,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "true_support", tuple(int(i) for i in self.true_support))
+        support = tuple(_as_int(i, "support index") for i in self.true_support)
+        object.__setattr__(self, "true_support", support)
         object.__setattr__(self, "effect_sizes", tuple(float(e) for e in self.effect_sizes))
-        if self.n_per_class < 1:
+        if _as_int(self.n_per_class, "n_per_class") < 1:
             raise DataError(f"n_per_class must be >= 1, got {self.n_per_class}")
         if len(self.true_support) != len(self.effect_sizes):
             raise DataError(
@@ -73,7 +74,7 @@ class SynthSpec:
             raise DataError(
                 f"background_decay must lie in (0,1), got {self.background_decay}"
             )
-        if self.seed < 0:
+        if _as_int(self.seed, "seed") < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
     @property

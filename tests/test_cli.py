@@ -278,6 +278,29 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(f"wavelogit: error: cannot write {out}: ")
             assert list(tmp_path.rglob("*.tmp*")) == []
 
+    @pytest.mark.parametrize(
+        "flags, parameter",
+        [
+            (["fit", "--method", "wls", "--q", "4", "--lambda", "5"], "lambda"),
+            (["fit", "--method", "wnet", "--lambda", "1", "--q", "7"], "q"),
+            (["fit", "--method", "wpcr", "--q", "4", "--lambda", "0.1", "--tau", "0.9"], "tau"),
+            (["cv", "--method", "wcr", "--lambda-grid", "0,2.5"], "lambda"),
+            (["cv", "--method", "wnet", "--n-lambda", "2", "--q-grid", "2"], "q"),
+            (["cv", "--method", "wpls", "--n-lambda", "2", "--tau-grid", "0.1"], "tau"),
+        ],
+    )
+    def test_ignored_parameter_is_2(self, tmp_path, capsys, flags, parameter):
+        """A flag the method does not take used to be dropped or written into
+        the model file; now it is refused before any file is written."""
+        train, test = simulate(tmp_path)
+        out = str(tmp_path / "m.json")
+        capsys.readouterr()
+        assert main(flags + ["--data", train, "--j0", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wavelogit: error: ") and "takes no " in err
+        assert f"got {parameter}=" in err
+        assert sorted(tmp_path.iterdir()) == sorted(map(Path, (train, test)))
+
     def test_cv_checks_out_before_fitting(self, tmp_path, capsys, monkeypatch):
         train, _ = simulate(tmp_path)
         fits = []

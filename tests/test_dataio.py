@@ -49,7 +49,9 @@ def fitted_model(estimator="wnet", q=None, tau=0.0, d=16, j0=2, n=40, family="db
     dataset = tiny_dataset(rng, n=n, d=d)
     basis = make_basis(family, j0, d)
     data = to_coefficients(dataset, basis)
-    config = FitConfig(estimator=estimator, lam=0.1, q=q, tau=tau)
+    # wcr/wls are unpenalized and take no lambda
+    lam = 0.0 if estimator in ("wcr", "wls") else 0.1
+    config = FitConfig(estimator=estimator, lam=lam, q=q, tau=tau)
     return model_from_fit(fit_estimator(data, config), config, basis), dataset
 
 
@@ -308,6 +310,19 @@ class TestModelFile:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         with pytest.raises(ModelFileError):
+            load_model(path)
+
+    def test_ignored_parameter_refused(self, tmp_path):
+        """An unpenalized wcr model that records a nonzero lambda does not load."""
+        model, _ = fitted_model(estimator="wcr", q=2)
+        path = str(tmp_path / "m.json")
+        save_model(model, path)
+        doc = json.loads(Path(path).read_text())
+        assert doc["format_version"] == 2 and doc["lambda"] == "0"
+        doc["lambda"] = "0.5"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ModelFileError, match="lambda"):
             load_model(path)
 
     def test_not_json_refused(self, tmp_path):

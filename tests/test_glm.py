@@ -58,6 +58,15 @@ class TestLabeledCoefficients:
         with pytest.raises(DataError, match="j0 must be an integer"):
             LabeledCoefficients(theta=np.zeros((4, 8)), labels=np.array([0.0, 1.0] * 2), j0=j0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        """A NaN coefficient used to make fit_wnet's backtracking loop spin
+        forever, since every comparison with NaN is False."""
+        theta = np.ones((4, 8))
+        theta[2, 5] = bad
+        with pytest.raises(DataError, match="finite"):
+            LabeledCoefficients(theta=theta, labels=np.array([0.0, 1.0] * 2), j0=1)
+
     def test_single_class_blocks_fitting(self):
         data = LabeledCoefficients(theta=np.eye(4), labels=np.ones(4), j0=0)
         with pytest.raises(DataError):

@@ -13,6 +13,7 @@ from wavelogit.glm import (
 )
 from wavelogit.metrics import auc
 from wavelogit.penalized import (
+    ESTIMATORS,
     FitConfig,
     _kkt_residual,
     build_reduction,
@@ -518,6 +519,32 @@ class TestFitConfig:
         """A string penalty used to fail with a bare TypeError from np.isfinite."""
         with pytest.raises(DataError, match=f"{field} must be a real number"):
             FitConfig(estimator="wcr", q=2, **{field: value})
+
+    # the tuning parameters each estimator takes; it must leave the others at
+    # their defaults (q None, lam and tau 0)
+    TAKES = {
+        "wnet": {"lam"},
+        "wpcr": {"q", "lam"},
+        "wpls": {"q", "lam"},
+        "wcr": {"q", "tau"},
+        "wls": {"q", "tau"},
+    }
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize(
+        "param, value, message",
+        [("q", 2, "q"), ("lam", 0.1, "lambda"), ("tau", 0.1, "tau")],
+    )
+    def test_rejects_parameters_it_does_not_take(self, estimator, param, value, message):
+        """wls at lambda 5 used to be accepted, saved and fit as at lambda 0."""
+        assert set(self.TAKES) == set(ESTIMATORS)
+        needed = {"q": 3} if "q" in self.TAKES[estimator] else {}
+        kwargs = {**needed, param: value}
+        if param in self.TAKES[estimator]:
+            assert getattr(FitConfig(estimator=estimator, **kwargs), param) == value
+        else:
+            with pytest.raises(DataError, match=f"{estimator}' takes no {message}, got {message}="):
+                FitConfig(estimator=estimator, **kwargs)
 
     def test_numpy_scalars_accepted(self):
         config = FitConfig(

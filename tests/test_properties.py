@@ -184,7 +184,11 @@ class TestModelFileProperties:
         dataset = small_dataset(seed)
         basis = make_basis("db4", 2, 16)
         data = to_coefficients(dataset, basis)
-        config = FitConfig(estimator=estimator, lam=lam, q=None if estimator == "wnet" else 2)
+        config = FitConfig(
+            estimator=estimator,
+            lam=0.0 if estimator in ("wcr", "wls") else lam,  # unpenalized: no lambda
+            q=None if estimator == "wnet" else 2,
+        )
         model = model_from_fit(fit_estimator(data, config), config, basis)
         before = model.predict_proba(dataset.curves)
         path = tmp_path_factory.mktemp("model") / "m.json"

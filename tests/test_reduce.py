@@ -85,6 +85,13 @@ class TestPcaFit:
         with pytest.raises(DataError):
             pca_fit(theta, q=5)  # q > n-1
 
+    @pytest.mark.parametrize("q", [2.0, True])
+    def test_q_must_be_an_integer(self, q):
+        """2.0 used to fail with a bare TypeError, and True fitted q = 1."""
+        theta = np.random.default_rng(3).standard_normal((6, 4))
+        with pytest.raises(DataError, match="q must be an integer"):
+            pca_fit(theta, q=q)
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((25, 10))

@@ -70,6 +70,13 @@ class TestMakeFolds:
         with pytest.raises(DataError):
             make_folds(labels, 5, seed=0)
 
+    @pytest.mark.parametrize("k, seed", [(2.5, 0), (2, 1.5), (True, 0), (2, np.float64(1.0))])
+    def test_k_and_seed_must_be_integers(self, k, seed):
+        """2.5 used to fail with a bare TypeError from np.zeros or the generator."""
+        labels = np.array([0.0, 1.0] * 4)
+        with pytest.raises(DataError, match="must be an integer"):
+            make_folds(labels, k, seed=seed)
+
     def test_invariants_over_many_instances(self):
         """Partition, stratification, and size balance for 1000 random triples."""
         rng = np.random.default_rng(0)
@@ -392,6 +399,13 @@ class TestDefaultGrids:
         assert abs(grid[-1] - lambda_max(data)) <= 1e-12
         assert abs(grid[0] - 1e-4 * grid[-1]) <= 1e-12
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("num", [2.5, True])
+    def test_lambda_grid_size_must_be_an_integer(self, num):
+        """2.5 used to fail with a bare TypeError from np.geomspace."""
+        data = planted_data(np.random.default_rng(18), 40)
+        with pytest.raises(DataError, match="num must be an integer"):
+            default_lambda_grid(data, num=num)
 
     def test_q_grid_capped(self):
         assert default_q_grid(100, 64) == (1, 2, 4, 8, 16)

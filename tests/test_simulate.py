@@ -51,6 +51,16 @@ class TestSynthSpec:
         with pytest.raises(DataError):
             small_spec(n_per_class=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_per_class", 2.5), ("n_per_class", True), ("seed", 1.5), ("true_support", (5.7, 40))],
+    )
+    def test_counts_seed_and_support_must_be_integers(self, field, value):
+        """A float count or seed used to fail with a bare TypeError only when
+        data was generated, and a support index of 5.7 was truncated to 5."""
+        with pytest.raises(DataError, match="must be an integer"):
+            small_spec(**{field: value})
+
     def test_background_sds_decay_with_level(self):
         spec = small_spec()
         sds = coefficient_sds(spec)
