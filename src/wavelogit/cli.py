@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataio import (
     CurveDataset,
+    _dataset_blocks,
     check_writable,
     export_beta,
     load_dataset,
@@ -237,26 +238,36 @@ def _cmd_cv(args) -> int:
     return 0
 
 
-def _load_pair(model_path, data_path):
+def _score_file(model_path, data_path):
+    """Labels and class-1 probabilities of every curve in ``data_path``.
+
+    The curves are read and scored one row block at a time, so only the
+    labels and probabilities of the whole file are held. A model that does
+    not fit the file's curve length is refused from its header, before any
+    row is parsed.
+    """
     model = load_model(model_path)
-    dataset = load_dataset(data_path)
-    d = model.basis.d
-    if dataset.d != d:
-        raise DataError(f"model {model_path} expects d={d}, dataset {data_path} has d={dataset.d}")
-    return model, dataset
+    d, n, blocks = _dataset_blocks(data_path)
+    if d != model.basis.d:
+        raise DataError(
+            f"model {model_path} expects d={model.basis.d}, dataset {data_path} has d={d}"
+        )
+    labels, probs = np.empty(n), np.empty(n)
+    for rows, block_labels, curves in blocks:
+        labels[rows], probs[rows] = block_labels, model.predict_proba(curves)
+    return labels, probs
 
 
 def _cmd_predict(args) -> int:
-    model, dataset = _load_pair(args.model, args.data)
-    save_probabilities(model.predict_proba(dataset.curves), args.out)
-    print(f"wrote {args.out}: {dataset.n} probabilities")
+    _, probs = _score_file(args.model, args.data)
+    save_probabilities(probs, args.out)
+    print(f"wrote {args.out}: {probs.size} probabilities")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    model, dataset = _load_pair(args.model, args.data)
-    probs = model.predict_proba(dataset.curves)
-    area = auc(probs, dataset.labels)
+    labels, probs = _score_file(args.model, args.data)
+    area = auc(probs, labels)
     print(f"AUC {area:.3f}")
     print(discrimination_verdict(area))
     return 0

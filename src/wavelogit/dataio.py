@@ -11,6 +11,7 @@ import errno
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -20,7 +21,7 @@ from .exceptions import DataError, DimensionError, ModelFileError, ParseError
 from .glm import LabeledCoefficients
 from .model import FittedModel
 from .penalized import FitConfig
-from .wavelet import WaveletBasis, dwt_forward
+from .wavelet import WaveletBasis, _block_bounds, dwt_forward
 
 # version 1 files also hold a reduced fit's "center" and "loadings"; loading
 # still reads them and ignores those two keys
@@ -130,50 +131,84 @@ def _text_lines(fh):
         yield from line.splitlines()
 
 
-def load_dataset(path: str) -> CurveDataset:
-    """Parse a curve CSV; errors name the offending line.
-
-    The file is read twice, one line at a time, never whole: the first pass
-    decodes all of it, so a read or decoding error wins over any parse
-    error, and counts its lines; the second parses them into one
-    preallocated array. The file is closed when this returns or raises.
-    """
+@contextmanager
+def _reading(path: str):
+    """Report a read or decoding error of the dataset file ``path`` as a DataError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = _text_lines(fh)
-            header = next(lines, None)
-            n_lines = sum(1 for _ in lines)
-            if header is None:
-                raise ParseError(path, 1, "file is empty")
-            header = header.split(",")
-            if header[0].strip() != "label":
-                raise ParseError(path, 1, "header must start with 'label'")
-            d = len(header) - 1
-            if d < 2 or d & (d - 1) != 0:
-                raise ParseError(
-                    path, 1, f"curve length must be a power of two >= 2, got {d} columns"
-                )
-            labels, curves = [], np.empty((n_lines, d))
-            fh.seek(0)
-            # skip the header; lines the file gained since it was counted find no row
-            for line_no, raw in enumerate(islice(_text_lines(fh), 1, n_lines + 1), start=2):
-                if raw == "":
-                    continue
-                cells = raw.split(",")
-                if len(cells) != d + 1:
-                    raise ParseError(path, line_no, f"expected {d + 1} values, found {len(cells)}")
-                label = _parse_cell(path, line_no, cells[0], "label")
-                if label not in (0.0, 1.0):
-                    raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")
-                curves[len(labels)] = [_parse_cell(path, line_no, c, "value") for c in cells[1:]]
-                labels.append(label)
+        yield
     except OSError as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"dataset file {path} is not UTF-8 text: {exc}") from None
-    if not labels:
+
+
+def _parse_row(path, line_no, raw, d):
+    cells = raw.split(",")
+    if len(cells) != d + 1:
+        raise ParseError(path, line_no, f"expected {d + 1} values, found {len(cells)}")
+    label = _parse_cell(path, line_no, cells[0], "label")
+    if label not in (0.0, 1.0):
+        raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")
+    return label, [_parse_cell(path, line_no, c, "value") for c in cells[1:]]
+
+
+def _dataset_blocks(path: str):
+    """Read a curve CSV in row blocks; errors name the offending line.
+
+    Returns the curve length d, the row count n and an iterator over
+    ``(rows, labels, curves)``: the slice of the n rows a block holds, and
+    its labels and curves, split where ``dwt_forward`` splits an n x d
+    batch. Each block overwrites the arrays of the one before it.
+
+    The file is read twice, one line at a time, never whole. The first
+    pass, made before this returns, decodes all of it, so a read or
+    decoding error wins over any parse error, checks the header and counts
+    the rows. The second parses one block per step of the iterator. The
+    file is closed when a pass ends or raises.
+    """
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        lines = _text_lines(fh)
+        header = next(lines, None)
+        n = sum(1 for line in lines if line)
+    if header is None:
+        raise ParseError(path, 1, "file is empty")
+    header = header.split(",")
+    if header[0].strip() != "label":
+        raise ParseError(path, 1, "header must start with 'label'")
+    d = len(header) - 1
+    if d < 2 or d & (d - 1) != 0:
+        raise ParseError(path, 1, f"curve length must be a power of two >= 2, got {d} columns")
+    if n == 0:
         raise ParseError(path, 2, "no data rows")
-    return CurveDataset(curves=curves[: len(labels)], labels=np.array(labels, dtype=float))
+
+    def blocks():
+        with _reading(path), open(path, "r", encoding="utf-8") as fh:
+            # skip the header; rows the file gained since it was counted are not read
+            rows = ((no, raw) for no, raw in enumerate(_text_lines(fh), start=1) if no > 1 and raw)
+            bounds = list(_block_bounds(n, d))
+            size = max(stop - start for start, stop in bounds)
+            buffer = (np.empty(size), np.empty((size, d)))
+            for start, stop in bounds:
+                labels, curves = (a[: stop - start] for a in buffer)
+                parsed = 0
+                for line_no, raw in islice(rows, stop - start):
+                    labels[parsed], curves[parsed] = _parse_row(path, line_no, raw, d)
+                    parsed += 1
+                if parsed < stop - start:
+                    raise DataError(f"dataset file {path} lost rows while it was read")
+                yield slice(start, stop), labels, curves
+
+    return d, n, blocks()
+
+
+def load_dataset(path: str) -> CurveDataset:
+    """Parse a curve CSV into one preallocated array; errors name the offending
+    line, and a read or decoding error wins over any parse error."""
+    d, n, blocks = _dataset_blocks(path)
+    labels, curves = np.empty(n), np.empty((n, d))
+    for rows, block_labels, block in blocks:
+        labels[rows], curves[rows] = block_labels, block
+    return CurveDataset(curves=curves, labels=labels)
 
 
 def _floats_out(values) -> list:

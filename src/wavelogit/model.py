@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import DataError, DimensionError, _as_int
 from .glm import link_logistic
 from .penalized import FitConfig, PenalizedSolution
-from .wavelet import WaveletBasis, dwt_forward, dwt_inverse
+from .wavelet import WaveletBasis, _as_batch, _row_blocks, dwt_forward, dwt_inverse
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,18 @@ class FittedModel:
             raise DataError("model coefficients must be finite")
 
     def predict_proba(self, curves) -> np.ndarray:
-        """Class-1 probability for each time-domain curve (row)."""
-        theta = dwt_forward(curves, self.basis)
-        return link_logistic(theta @ self.omega + self.intercept)
+        """Class-1 probability for each time-domain curve (row).
+
+        Rows are transformed and scored one block at a time, so the
+        coefficients of the whole batch are never held. Each block's scores
+        are one matrix-vector product, so a file scored block by block, as
+        ``predict`` does, gets the bits of the whole array.
+        """
+        batch, squeeze = _as_batch(curves, self.basis.d, "signal")
+        probs = np.empty(batch.shape[0])
+        for block, out in _row_blocks(batch, probs):
+            out[:] = link_logistic(dwt_forward(block, self.basis) @ self.omega + self.intercept)
+        return probs[0] if squeeze else probs
 
     def beta(self) -> np.ndarray:
         """The discriminant function sampled on the model's time grid."""

@@ -154,9 +154,10 @@ FILTERS: dict[str, tuple[float, ...]] = {
 DEFAULT_FAMILY = "db4"
 DEFAULT_J0 = 3
 
-# values per block of rows that a batch transform works on at a time: every
-# level step is per row, so the blocks give the same bits as the whole batch,
-# and the temporaries stay a few blocks in size however many rows there are
+# values per block of rows that a batch transform, a batch of scores and the
+# curve CSV reader work on at a time: every level step is per row, so the
+# blocks give the same bits as the whole batch, and the temporaries stay a
+# few blocks in size however many rows there are
 _BLOCK_VALUES = 64 * 1024
 
 
@@ -249,12 +250,26 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np
     return out
 
 
+def _block_bounds(n: int, d: int):
+    """Start and stop of each block of rows of an n x d batch, each about
+    ``_BLOCK_VALUES`` values.
+
+    A 1-row tail joins the block before it: numpy multiplies a 1-row block
+    by a vector with a dot, whose sum order differs from the matrix-vector
+    product that gives every other row its bits.
+    """
+    rows = max(1, _BLOCK_VALUES // d)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def _row_blocks(batch: np.ndarray, out: np.ndarray):
-    """Yield matching blocks of rows of ``batch`` and ``out``, each about
-    ``_BLOCK_VALUES`` values."""
-    rows = max(1, _BLOCK_VALUES // batch.shape[1])
-    for start in range(0, batch.shape[0], rows):
-        yield batch[start : start + rows], out[start : start + rows]
+    """Yield matching blocks of rows of ``batch`` and ``out``, split at
+    ``_block_bounds``."""
+    for start, stop in _block_bounds(*batch.shape):
+        yield batch[start:stop], out[start:stop]
 
 
 def dwt_forward(x, basis: WaveletBasis) -> np.ndarray:

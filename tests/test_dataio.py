@@ -12,6 +12,7 @@ import pytest
 
 from wavelogit.dataio import (
     CurveDataset,
+    _dataset_blocks,
     export_beta,
     load_dataset,
     load_model,
@@ -195,6 +196,26 @@ class TestDatasetCsv:
         finally:
             tracemalloc.stop()
         assert peak <= back.curves.nbytes + 2**20, peak - back.curves.nbytes
+
+    def test_rows_gained_after_the_count_are_not_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(tiny_dataset(n=6), str(path))
+        d, n, blocks = _dataset_blocks(str(path))
+        with open(path, "a") as fh:
+            fh.write("1," + ",".join(["9"] * d) + "\n")
+        labels, curves = np.empty(n), np.empty((n, d))
+        for rows, block_labels, block in blocks:
+            labels[rows], curves[rows] = block_labels, block
+        assert (d, n) == (16, 6)
+        np.testing.assert_array_equal(curves, tiny_dataset(n=6).curves)
+
+    def test_rows_lost_after_the_count_are_an_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(tiny_dataset(n=6), str(path))
+        _, _, blocks = _dataset_blocks(str(path))
+        path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+        with pytest.raises(DataError, match="lost rows while it was read"):
+            list(blocks)
 
     @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
     def test_every_splitlines_boundary_ends_a_row(self, tmp_path, boundary):

@@ -193,6 +193,18 @@ class TestRowBlocks:
                 assert row.shape == (self.D,)
                 np.testing.assert_array_equal(batch[i], row)
 
+    @pytest.mark.parametrize("d", [16, 1024, 4096, wavelet._BLOCK_VALUES * 2])
+    def test_blocks_cover_the_rows_and_leave_no_one_row_tail(self, d):
+        rows = max(1, wavelet._BLOCK_VALUES // d)
+        for n in {1, 2, 3, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 3 * rows} - {0}:
+            bounds = list(wavelet._block_bounds(n, d))
+            assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+            assert bounds[-1][1] == n
+            sizes = [stop - start for start, stop in bounds]
+            assert all(size == rows for size in sizes[:-1])
+            assert 1 <= sizes[-1] <= rows + 1
+            assert sizes[-1] > 1 or n == 1, (n, sizes)
+
     @pytest.mark.parametrize("transform", [dwt_forward, dwt_inverse])
     def test_temporaries_do_not_grow_with_the_batch(self, transform):
         b = make_basis("db8", j0=3, d=1024)
