@@ -161,9 +161,13 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     dataset = generate_dataset(spec)
+    if not args.test_out:
+        save_dataset(dataset, args.out)
+        print(f"wrote {args.out}: {dataset.n} curves, d={args.d}")
+        return 0
     # each class holds n_train training curves, then n_test held-out ones
     train = np.arange(2 * (n_train + n_test)) % (n_train + n_test) < n_train
-    outputs = [(args.out, train)] + ([(args.test_out, ~train)] if args.test_out else [])
+    outputs = [(args.out, train), (args.test_out, ~train)]
     for path, rows in outputs:
         save_dataset(CurveDataset(curves=dataset.curves[rows], labels=dataset.labels[rows]), path)
     for path, rows in outputs:
@@ -223,14 +227,18 @@ def _cmd_cv(args) -> int:
         folds = make_folds(data.labels, args.folds, seed=args.seed)
         result = cross_validate(data, grid, folds)
     best = result.best_config
-    _, penalized = _TAXONOMY[best.estimator]
+    kind, penalized = _TAXONOMY[best.estimator]
+    # only the parameters the estimator takes
+    params = (
+        ([f"lambda={best.lam:.6g}"] if penalized else [])
+        + ([f"q={best.q}"] if kind is not None else [])
+        + ([f"tau={best.tau:.6g}"] if not penalized else [])
+    )
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
     failed = sum(message is not None for message in result.messages)
     _fit_and_save(data, best, basis, args.out)
     print(
-        f"selected {best.estimator}: lambda={best.lam:.6g}"
-        + (f", q={best.q}" if best.q is not None else "")
-        + (f", tau={best.tau:.6g}" if not penalized else "")
+        f"selected {best.estimator}: {', '.join(params)}"
         + f" ({label} = {result.best_criterion:.6g} over {len(grid)} configurations"
         + (f", {failed} of {len(grid)} failed)" if failed else ")")
     )

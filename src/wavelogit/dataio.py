@@ -47,7 +47,8 @@ class CurveDataset:
             raise DataError(f"curve length must be a power of two >= 2, got {d}")
         if labels.shape != (curves.shape[0],):
             raise DimensionError("labels must have one entry per curve")
-        if not np.all(np.isfinite(curves)):
+        # a block at a time, so the check holds no n x d temporary
+        if not all(np.isfinite(curves[a:b]).all() for a, b in _block_bounds(*curves.shape)):
             raise DataError("curve values must be finite")
         if not np.all((labels == 0.0) | (labels == 1.0)):
             raise DataError("labels must be 0 or 1")

@@ -20,6 +20,7 @@ from .wavelet import (
     DEFAULT_FAMILY,
     DEFAULT_J0,
     WaveletBasis,
+    _block_bounds,
     coefficient_levels,
     dwt_inverse,
     make_basis,
@@ -90,19 +91,32 @@ def coefficient_sds(spec: SynthSpec) -> np.ndarray:
 
 
 def generate_dataset(spec: SynthSpec) -> CurveDataset:
-    """Draw 2*n_per_class labeled curves (class 0 rows first)."""
+    """Draw 2*n_per_class labeled curves (class 0 rows first).
+
+    The curves are the only n x d array held: coefficients are drawn and
+    inverted one row block at a time, then the noise is drawn and added one
+    block at a time. A generator gives the same values in consecutive
+    blocks as in one call, and every step is per row, so the bits are those
+    of drawing, inverting and adding the whole matrices at once.
+    """
     rng = np.random.default_rng(spec.seed)
     n = 2 * spec.n_per_class
-    coeffs = rng.standard_normal((n, spec.d)) * coefficient_sds(spec)
+    sds = coefficient_sds(spec)
+    support = list(spec.true_support)
+    effects = np.asarray(spec.effect_sizes)
+    curves = np.empty((n, spec.d))
+    blocks = list(_block_bounds(n, spec.d))
+    for start, stop in blocks:
+        coeffs = rng.standard_normal((stop - start, spec.d)) * sds
+        # class 1 starts at row n_per_class, which may fall inside the block
+        coeffs[max(spec.n_per_class - start, 0) :, support] += effects
+        curves[start:stop] = dwt_inverse(coeffs, spec.basis)
+    # the noise follows every coefficient in the stream
+    for start, stop in blocks:
+        noise = rng.standard_normal((stop - start, spec.d))
+        noise *= spec.noise_sd
+        curves[start:stop] += noise
     labels = np.concatenate([np.zeros(spec.n_per_class), np.ones(spec.n_per_class)])
-    if spec.true_support:
-        coeffs[spec.n_per_class :, list(spec.true_support)] += np.asarray(spec.effect_sizes)
-    curves = dwt_inverse(coeffs, spec.basis)
-    del coeffs  # so the noise below is drawn without the coefficients held
-    # in place, the same bits; freeing the noise, not the curves, steadies the peak RSS
-    noise = rng.standard_normal((n, spec.d))
-    noise *= spec.noise_sd
-    curves += noise
     return CurveDataset(curves=curves, labels=labels)
 
 

@@ -1,12 +1,13 @@
 """Reference quantities the tests check the package against.
 
-Neither is part of the package: the package never needs the explicit
-transform matrix or the PCA eigenvalues.
+None is part of the package: the package never needs the explicit
+transform matrix, the PCA eigenvalues or whole-matrix draws of the curves.
 """
 
 import numpy as np
 
-from wavelogit.wavelet import WaveletBasis, dwt_forward
+from wavelogit.simulate import SynthSpec, coefficient_sds
+from wavelogit.wavelet import WaveletBasis, dwt_forward, dwt_inverse
 
 
 def transform_matrix(basis: WaveletBasis) -> np.ndarray:
@@ -21,3 +22,18 @@ def score_variances(theta, loadings) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     scores = (theta - theta.mean(axis=0)) @ loadings
     return np.sum(scores * scores, axis=0) / (theta.shape[0] - 1)
+
+
+def generate_curves(spec: SynthSpec) -> np.ndarray:
+    """The simulated curves drawn whole: every coefficient in one call,
+    inverted at once, then every noise value in one call."""
+    rng = np.random.default_rng(spec.seed)
+    n = 2 * spec.n_per_class
+    coeffs = rng.standard_normal((n, spec.d)) * coefficient_sds(spec)
+    if spec.true_support:
+        coeffs[spec.n_per_class :, list(spec.true_support)] += np.asarray(spec.effect_sizes)
+    curves = dwt_inverse(coeffs, spec.basis)
+    noise = rng.standard_normal((n, spec.d))
+    noise *= spec.noise_sd
+    curves += noise
+    return curves

@@ -1,5 +1,6 @@
 """Tests for the command-line driver: workflows and exit codes."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -112,6 +113,34 @@ class TestWorkflow:
         assert main(["simulate", "--out", a] + SIM_ARGS) == 0
         assert main(["simulate", "--out", b] + SIM_ARGS) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, digests",
+        [
+            (
+                ["--n-per-class", "75", "--n-test-per-class", "25", "--seed", "0"],
+                {
+                    "train.csv": "4447ed212594d98a78ae3781cca5c1623adc14c5c120fcb267fc74e8ca64a86f",
+                    "test.csv": "13a418bc12d2856267afdf3804ebed630b1221454f1145de7ce516882daa330e",
+                },
+            ),
+            (
+                # five blocks of 64 rows; class 1 starts mid-block, at row 150
+                ["--n-per-class", "150", "--d", "1024", "--wavelet", "db8"],
+                {"train.csv": "3d8349024e5796f98b4d7d72088bb35948ed6bde6862f600008c9c65ff6fbb8c"},
+            ),
+        ],
+        ids=["readme-set", "multi-block"],
+    )
+    def test_simulate_bytes_are_pinned(self, tmp_path, capsys, args, digests):
+        """The files of the whole-matrix generator, kept byte for byte by
+        the block generator that replaced it."""
+        paths = {name: tmp_path / name for name in digests}
+        test_out = ["--test-out", str(paths["test.csv"])] if "test.csv" in paths else []
+        assert main(["simulate", "--out", str(paths["train.csv"]), *test_out, *args]) == 0
+        capsys.readouterr()
+        written = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert written == digests
 
 
 class TestExitCodes:
@@ -343,8 +372,9 @@ class TestExitCodes:
         (load_dataset if command == "simulate" else load_model)(str(out))
 
 
-# What ``cv`` selects on the README training set.  A change that moves a
-# selection on purpose updates these lines and says so.
+# What ``cv`` selects on the README training set, as its summary prints it.
+# A change that moves a selection or rewords the summary on purpose updates
+# these lines and says so.
 README_SELECTIONS = [
     (
         ["--method", "wnet", "--n-lambda", "4"],
@@ -362,12 +392,12 @@ README_SELECTIONS = [
     ),
     (
         ["--method", "wls", "--q-grid", "1,2"],
-        "selected wls: lambda=0, q=2, tau=0.0575168 (5-fold CV AUC = 0.808 over 6 "
+        "selected wls: q=2, tau=0.0575168 (5-fold CV AUC = 0.808 over 6 "
         "configurations, 1 of 6 failed)",
     ),
     (
         ["--method", "wcr", "--q-grid", "1,2"],
-        "selected wcr: lambda=0, q=1, tau=0.0540869 (5-fold CV AUC = 0.656 over 6 "
+        "selected wcr: q=1, tau=0.0540869 (5-fold CV AUC = 0.656 over 6 "
         "configurations)",
     ),
 ]

@@ -69,6 +69,14 @@ class TestCurveDataset:
         with pytest.raises(DataError):
             CurveDataset(curves=bad, labels=np.zeros(3))
 
+    @pytest.mark.parametrize("row, value", [(0, np.inf), (100, np.nan), (128, -np.inf)])
+    def test_non_finite_value_in_any_block_is_refused(self, row, value):
+        # 64 rows a block at d = 1024; row 128 is the tail joined to the second
+        curves = np.zeros((129, 1024))
+        curves[row, 5] = value
+        with pytest.raises(DataError, match="^curve values must be finite$"):
+            CurveDataset(curves=curves, labels=np.zeros(129))
+
     def test_to_coefficients_matches_transform(self):
         dataset = tiny_dataset()
         basis = make_basis("db4", 2, 16)

@@ -1,8 +1,12 @@
 """Tests for the synthetic curve generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import generate_curves
+from wavelogit.cli import main
 from wavelogit.dataio import to_coefficients
 from wavelogit.exceptions import DataError
 from wavelogit.glm import link_logistic
@@ -17,7 +21,7 @@ from wavelogit.simulate import (
     generate_beta,
     generate_dataset,
 )
-from wavelogit.wavelet import dwt_forward, dwt_inverse, make_basis
+from wavelogit.wavelet import _BLOCK_VALUES, dwt_forward, dwt_inverse, make_basis
 
 
 def small_spec(**overrides):
@@ -150,6 +154,90 @@ class TestGenerateDataset:
         off = np.ones(spec.d, dtype=bool)
         off[list(DEFAULT_SUPPORT)] = False
         assert np.all(np.abs(diff[off]) <= 4.0 * se[off])
+
+
+def spread_spec(family, d, **overrides):
+    """A spec whose support lies at the start, middle and end of the detail
+    range of any d. By default each class holds half again a block of rows
+    and a few more: four blocks, class 1 starting inside the second."""
+    basis = make_basis(family, 2, d)
+    rows = max(1, _BLOCK_VALUES // d)
+    fields = dict(
+        n_per_class=rows + rows // 2 + 5,
+        basis=basis,
+        true_support=(basis.n_scale, d // 2 + 3, d - 1),
+        effect_sizes=(0.9, -0.7, 0.5),
+        seed=0,
+    )
+    fields.update(overrides)
+    return SynthSpec(**fields)
+
+
+class TestBlockedDraws:
+    """The curves are drawn, inverted and made noisy one row block at a
+    time; the bits are those of the whole-matrix generator."""
+
+    @pytest.mark.parametrize("family", ["haar", "db4", "db8"])
+    @pytest.mark.parametrize("d", [64, 256, 1024])
+    def test_class_boundary_inside_a_block(self, family, d):
+        spec = spread_spec(family, d)
+        assert spec.n_per_class % (_BLOCK_VALUES // d) != 0
+        assert np.array_equal(generate_dataset(spec).curves, generate_curves(spec))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_per_class=5),  # fewer rows than one block
+            dict(true_support=(), effect_sizes=()),
+            dict(noise_sd=0.0),
+            dict(seed=1),
+            dict(seed=7),
+            dict(seed=12345),
+        ],
+        ids=["small-n", "empty-support", "no-noise", "seed1", "seed7", "seed12345"],
+    )
+    def test_special_cases(self, overrides):
+        spec = spread_spec("db4", 256, **overrides)
+        assert np.array_equal(generate_dataset(spec).curves, generate_curves(spec))
+
+    def test_one_row_tail_joins_the_block_before(self):
+        # from d = _BLOCK_VALUES on, a block is one row, and the odd last
+        # row joins the block before it
+        d = _BLOCK_VALUES
+        spec = spread_spec("db8", d, n_per_class=3)
+        assert np.array_equal(generate_dataset(spec).curves, generate_curves(spec))
+
+
+class TestBoundedMemory:
+    """Generating and writing hold one copy of the curves; a second one
+    (8 MB here) would break the bound."""
+
+    N_PER_CLASS, D = 500, 1024
+    MARGIN = 2**22
+
+    def test_generate_dataset_holds_the_curves(self):
+        spec = spread_spec("db8", self.D, n_per_class=self.N_PER_CLASS)
+        tracemalloc.start()
+        try:
+            dataset = generate_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - dataset.curves.nbytes
+        assert extra <= self.MARGIN < dataset.curves.nbytes, extra
+
+    def test_simulate_command_holds_the_curves(self, tmp_path, capsys):
+        out = str(tmp_path / "curves.csv")
+        args = ["--n-per-class", str(self.N_PER_CLASS), "--d", str(self.D), "--wavelet", "db8"]
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--out", out, *args]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        curves_nbytes = 2 * self.N_PER_CLASS * self.D * 8
+        assert peak - curves_nbytes <= self.MARGIN < curves_nbytes, peak - curves_nbytes
 
 
 class TestGenerateBeta:
