@@ -36,11 +36,11 @@ class NumericalError(WavelogitError, RuntimeError):
 class ConvergenceError(NumericalError):
     """Iteration cap reached before the convergence test passed.
 
-    Carries the last iterate so callers can inspect how far the solver got.
+    Carries the solver's last convergence residual so callers can see how
+    far it got.
     """
 
-    def __init__(self, message, last_solution=None, residual=None):
-        self.last_solution = last_solution
+    def __init__(self, message, residual=None):
         self.residual = residual
         super().__init__(message)
 
@@ -56,17 +56,9 @@ class SeparationError(NumericalError):
 class RankDeficiencyError(NumericalError):
     """Component extraction ran out of rank before reaching the requested count."""
 
-    def __init__(self, message, components_achieved):
-        self.components_achieved = components_achieved
-        super().__init__(message)
-
 
 class SparsityError(NumericalError):
     """Soft-thresholding annihilated an entire loading."""
-
-    def __init__(self, message, component_index):
-        self.component_index = component_index
-        super().__init__(message)
 
 
 class SelectionError(NumericalError):

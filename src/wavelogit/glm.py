@@ -129,20 +129,21 @@ def _newton(aug, y, beta, max_iter: int, tol: float, quad=None, separation_bound
     ``quad`` is ``(rho, A, b, A^T A)``, or None for the likelihood alone.
     Each step solves (H + 1e-10 I) step = g and is halved up to 40 times
     until the objective does not increase; the objective is first evaluated
-    when a step is needed.  Returns (beta, steps taken) once the sup-norm
-    of the gradient is at most ``tol``.  Raises ConvergenceError with the
-    last iterate after ``max_iter`` steps or a failed halving,
+    when a step is needed, and the accepted step's eta and residual serve
+    the next gradient.  Returns (beta, steps taken) once the sup-norm of
+    the gradient is at most ``tol``.  Raises ConvergenceError with that
+    sup-norm after ``max_iter`` steps or a failed halving,
     SingularityError on a singular system, and SeparationError when a
     non-intercept coefficient passes ``separation_bound``.
     """
     k = aug.shape[1]
     # without a quadratic term, an empty one with rho = 0 adds exact zeros
     rho, a_mat, target, gram = quad or (0.0, np.zeros((0, k - 1)), np.zeros(0), 0.0)
+    eta = aug @ beta
+    resid = a_mat @ beta[1:] - target
     value = None
     for steps in range(max_iter + 1):
-        eta = aug @ beta
         p = link_logistic(eta)
-        resid = a_mat @ beta[1:] - target
         grad = aug.T @ (p - y)
         grad[1:] += rho * (a_mat.T @ resid)
         gnorm = float(np.max(np.abs(grad)))
@@ -151,7 +152,6 @@ def _newton(aug, y, beta, max_iter: int, tol: float, quad=None, separation_bound
         if steps == max_iter:
             raise ConvergenceError(
                 f"Newton did not reach gradient tolerance {tol} in {max_iter} iterations",
-                last_solution=(beta[1:].copy(), float(beta[0])),
                 residual=gnorm,
             )
         hess = (aug * (p * (1.0 - p))[:, None]).T @ aug
@@ -166,18 +166,17 @@ def _newton(aug, y, beta, max_iter: int, tol: float, quad=None, separation_bound
         scale = 1.0
         for _ in range(40):
             cand = beta - scale * step
-            r = a_mat @ cand[1:] - target
-            cand_value = _nll_from_eta(aug @ cand, y) + 0.5 * rho * (r @ r)
+            cand_eta = aug @ cand
+            cand_resid = a_mat @ cand[1:] - target
+            cand_value = _nll_from_eta(cand_eta, y) + 0.5 * rho * (cand_resid @ cand_resid)
             if cand_value <= value + 1e-12:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError(
-                "step halving failed to decrease the objective",
-                last_solution=(beta[1:].copy(), float(beta[0])),
-                residual=gnorm,
+                "step halving failed to decrease the objective", residual=gnorm
             )
-        beta, value = cand, cand_value
+        beta, eta, resid, value = cand, cand_eta, cand_resid, cand_value
         if separation_bound is not None and np.max(np.abs(beta[1:])) > separation_bound:
             raise SeparationError(
                 "coefficients diverged, which indicates separable classes; "

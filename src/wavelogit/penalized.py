@@ -229,7 +229,6 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
         raise ConvergenceError(
             f"proximal gradient did not converge in {config.max_iter} iterations "
             f"(KKT residual {kkt:.3e})",
-            last_solution=(beta[1:].copy(), float(beta[0])),
             residual=kkt,
         )
     omega = beta[1:]
@@ -318,7 +317,6 @@ def fit_reduced_penalized(
         raise ConvergenceError(
             f"ADMM did not converge in {config.max_iter} iterations "
             f"(primal residual {primal_res:.3e}, dual residual {dual_res:.3e})",
-            last_solution=(coef[1:].copy(), float(coef[0])),
             residual=float(max(primal_res, dual_res)),
         )
     gamma = coef[1:]

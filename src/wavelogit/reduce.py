@@ -58,15 +58,12 @@ def _threshold_direction(raw: np.ndarray, tau: float, k: int) -> np.ndarray:
     # threshold the unit-normalized direction so tau lives on loading scale
     norm = np.linalg.norm(raw)
     if norm < 1e-300:
-        raise SparsityError(
-            f"component {k + 1} target direction is zero", component_index=k
-        )
+        raise SparsityError(f"component {k + 1} target direction is zero")
     target = soft_threshold(raw / norm, tau)
     t_norm = np.linalg.norm(target)
     if t_norm == 0.0:
         raise SparsityError(
-            f"threshold tau={tau} removed every coordinate of component {k + 1}",
-            component_index=k,
+            f"threshold tau={tau} removed every coordinate of component {k + 1}"
         )
     return target / t_norm
 
@@ -87,9 +84,7 @@ def _nipals(theta, labels, q: int, tau: float) -> np.ndarray:
         w = residual.T @ y_c
         norm = np.linalg.norm(w)
         if norm < 1e-12:
-            raise RankDeficiencyError(
-                f"label covariance vanished after {k} component(s)", components_achieved=k
-            )
+            raise RankDeficiencyError(f"label covariance vanished after {k} component(s)")
         v = _threshold_direction(w, tau, k) if tau > 0 else w / norm
         scores = residual @ v
         loadings[:, k] = v

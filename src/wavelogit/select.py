@@ -25,7 +25,6 @@ from .exceptions import (
 from .glm import LabeledCoefficients, link_logistic, neg_log_likelihood
 from .metrics import auc
 from .penalized import (
-    _TAXONOMY,
     FitConfig,
     PenalizedSolution,
     build_reduction,
@@ -265,11 +264,8 @@ def default_q_grid(n: int, d: int):
     return tuple(q for q in (1, 2, 4, 8, 16) if q <= limit)
 
 
-def default_tau_grid(data: LabeledCoefficients, estimator: str, q: int):
-    """{0, tau_med, 2*tau_med}, tau_med = median |entry| of the dense loadings
-    (the reduction at tau = 0)."""
-    config = FitConfig(estimator=estimator, q=q)
-    if _TAXONOMY[estimator][1]:
-        raise DataError(f"estimator {estimator!r} takes no loading threshold tau")
-    tau_med = float(np.median(np.abs(build_reduction(data, config))))
+def default_tau_grid(loadings):
+    """{0, tau_med, 2*tau_med}, tau_med = median |entry| of ``loadings``, the
+    dense reduction (tau = 0) at the grid's q."""
+    tau_med = float(np.median(np.abs(loadings)))
     return (0.0, tau_med, 2.0 * tau_med)

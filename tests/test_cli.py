@@ -6,10 +6,12 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import wavelogit
+from wavelogit import cli, penalized
 from wavelogit.cli import main
 from wavelogit.dataio import load_dataset, load_model
 
@@ -414,3 +416,68 @@ def test_readme_set_selections_are_pinned(tmp_path, capsys):
     for args, summary in README_SELECTIONS:
         assert main(["cv", "--data", train, *args, "--out", model, "--seed", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == summary
+
+
+@pytest.fixture(scope="module")
+def readme_train(tmp_path_factory):
+    """The README training set: 150 curves of d = 256."""
+    folder = tmp_path_factory.mktemp("readme")
+    train = str(folder / "train.csv")
+    assert main([
+        "simulate", "--out", train, "--test-out", str(folder / "test.csv"),
+        "--n-per-class", "75", "--n-test-per-class", "25", "--seed", "0",
+    ]) == 0
+    return train
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method, kind", [("wcr", "sparse_pca"), ("wls", "sparse_pls")])
+def test_tau_grid_fits_one_dense_reduction(tmp_path, monkeypatch, readme_train, method, kind):
+    """The default tau grid of every q comes from one tau = 0 reduction of
+    the full data, fit at the largest q (16), not one per q."""
+    fits = []
+    real_fit = penalized.sparse_component_fit
+
+    def counting_fit(theta, labels, q, sparsity, kind):
+        fits.append((theta.shape[0], q, sparsity, kind))
+        return real_fit(theta, labels, q, sparsity, kind)
+
+    def stop(data, grid, folds):
+        raise _GridBuilt(grid)
+
+    monkeypatch.setattr(penalized, "sparse_component_fit", counting_fit)
+    monkeypatch.setattr(cli, "cross_validate", stop)
+    args = ["cv", "--data", readme_train, "--method", method, "--out", str(tmp_path / "m.json")]
+    with pytest.raises(_GridBuilt) as info:
+        main(args)
+    assert fits == [(150, 16, 0.0, kind)]
+    grid = info.value.args[0]
+    assert [config.q for config in grid] == [q for q in (1, 2, 4, 8, 16) for _ in range(3)]
+    assert [config.tau > 0.0 for config in grid] == [False, True, True] * 5
+
+
+@pytest.mark.parametrize("method", ["wcr", "wls"])
+@pytest.mark.parametrize(
+    "q_grid, message",
+    [
+        ("0", "estimator '{}' needs a component count q >= 1"),
+        ("-3", "estimator '{}' needs a component count q >= 1"),
+        ("4,0", "estimator '{}' needs a component count q >= 1"),
+        ("150", "q=150 outside valid range [1, 149] for n=150, d=256"),
+        ("16,500", "q=500 outside valid range [1, 149] for n=150, d=256"),
+    ],
+    ids=["zero", "negative", "zero-after-valid", "above-limit", "above-limit-after-valid"],
+)
+def test_invalid_q_grid_entry_is_2(tmp_path, capsys, readme_train, method, q_grid, message):
+    """A q that the shared tau = 0 reduction cannot serve fails as a fit at
+    that q alone would, without slicing an empty or wrapped-around block
+    of loadings."""
+    out = str(tmp_path / "m.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["cv", "--data", readme_train, "--method", method,
+                     f"--q-grid={q_grid}", "--out", out])
+    assert (code, capsys.readouterr().err) == (2, f"wavelogit: error: {message.format(method)}\n")

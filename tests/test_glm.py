@@ -290,13 +290,12 @@ class TestIrlsFit:
         with pytest.raises(SingularityError):
             irls_fit(duplicated(scale))
 
-    def test_nonconvergence_carries_last_iterate(self):
+    def test_nonconvergence_carries_residual(self):
         rng = np.random.default_rng(12)
         _, data = random_instance(rng, n=200, d=8)
-        with pytest.raises(ConvergenceError) as info:
+        with pytest.raises(ConvergenceError, match="tolerance 1e-14 in 1 iterations") as info:
             irls_fit(data, max_iter=1, tol=1e-14)
-        assert info.value.last_solution is not None
-        assert info.value.residual is not None
+        assert np.isfinite(info.value.residual) and info.value.residual > 1e-14
 
 
 def newton_instance(seed):
@@ -342,11 +341,14 @@ class TestNewton:
         np.testing.assert_allclose(beta[1:], omega, rtol=0, atol=1e-10)
         assert abs(beta[0] - intercept) <= 1e-10
 
-    def test_cap_carries_last_iterate(self):
+    def test_cap_carries_residual(self):
+        """The residual is the sup-norm of the gradient at the capped iterate,
+        quadratic term included."""
         aug, y, a_mat, b = newton_instance(32)
-        with pytest.raises(ConvergenceError) as info:
-            _newton(aug, y, np.zeros(5), 1, 1e-14, (1.0, a_mat, b, a_mat.T @ a_mat))
-        coef, intercept = info.value.last_solution
-        assert coef.shape == (4,) and np.all(np.isfinite(coef)) and np.isfinite(intercept)
-        assert np.any(coef != 0.0)
+        quad = (1.0, a_mat, b, a_mat.T @ a_mat)
+        with pytest.raises(ConvergenceError, match="in 1 iterations") as info:
+            _newton(aug, y, np.zeros(5), 1, 1e-14, quad)
+        # with the residual as its tolerance, a run stops after that one step
+        _, steps = _newton(aug, y, np.zeros(5), 1, info.value.residual, quad)
+        assert steps == 1
         assert info.value.residual > 1e-14

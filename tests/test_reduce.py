@@ -147,9 +147,8 @@ class TestPlsFit:
         n = 20
         labels = np.array([0.0, 1.0] * (n // 2))
         theta = np.outer(labels - 0.5, np.array([1.0, 2.0, -1.0]))
-        with pytest.raises(RankDeficiencyError) as info:
+        with pytest.raises(RankDeficiencyError, match=r"after 1 component\(s\)"):
             pls_fit(theta, labels, q=3)
-        assert info.value.components_achieved == 1
 
 
 class TestSparseComponents:
@@ -192,9 +191,8 @@ class TestSparseComponents:
     def test_too_much_sparsity_raises(self):
         rng = np.random.default_rng(12)
         theta = rng.standard_normal((20, 5))
-        with pytest.raises(SparsityError) as info:
+        with pytest.raises(SparsityError, match="every coordinate of component 1$"):
             sparse_component_fit(theta, None, q=1, sparsity=1e6, kind=KIND_SPARSE_PCA)
-        assert info.value.component_index == 0
 
     def test_sparse_pls_thresholds_covariance_vector(self):
         """Component 1 soft-thresholds the unit-normalized covariance vector."""

@@ -11,7 +11,13 @@ from wavelogit.exceptions import (
 )
 from wavelogit.glm import LabeledCoefficients, link_logistic, neg_log_likelihood
 from wavelogit.metrics import auc
-from wavelogit.penalized import FitConfig, PenalizedSolution, fit_estimator, lambda_max
+from wavelogit.penalized import (
+    FitConfig,
+    PenalizedSolution,
+    build_reduction,
+    fit_estimator,
+    lambda_max,
+)
 from wavelogit.select import (
     FoldPlan,
     aicc,
@@ -416,6 +422,20 @@ class TestDefaultGrids:
         rng = np.random.default_rng(19)
         data = planted_data(rng, 50)
         for estimator in ("wcr", "wls"):
-            taus = default_tau_grid(data, estimator, q=4)
+            taus = default_tau_grid(build_reduction(data, FitConfig(estimator, q=4)))
             assert len(taus) == 3 and taus[0] == 0.0
             assert abs(taus[2] - 2.0 * taus[1]) <= 1e-15
+
+    @pytest.mark.parametrize("estimator", ["wcr", "wls"])
+    def test_tau_grid_from_a_slice_equals_a_fresh_fit(self, estimator):
+        """The first q columns of the largest-q dense reduction give every
+        default q the tau grid of a fresh fit at q, bit for bit."""
+        data = planted_data(np.random.default_rng(20), 60, d=32)
+        q_grid = default_q_grid(data.n, data.d)
+        assert q_grid == (1, 2, 4, 8, 16)
+        dense = build_reduction(data, FitConfig(estimator, q=q_grid[-1]))
+        for q in q_grid:
+            fresh = default_tau_grid(build_reduction(data, FitConfig(estimator, q=q)))
+            sliced = default_tau_grid(dense[:, :q])
+            assert np.array(sliced).tobytes() == np.array(fresh).tobytes()
+            assert fresh[1] > 0.0
