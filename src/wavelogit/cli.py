@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .dataio import (
-    CurveDataset,
     _dataset_blocks,
     check_writable,
     export_beta,
@@ -146,14 +145,17 @@ def _cmd_simulate(args) -> int:
         effects = _comma_list(args.effects, float, "--effects")
     else:
         support, effects = DEFAULT_SUPPORT, DEFAULT_EFFECTS
-    n_train = args.n_per_class
-    n_test = args.n_test_per_class if args.test_out else 0
-    if n_train < 1 or n_test < 0:
+    n_train, n_test = args.n_per_class, args.n_test_per_class
+    least = 1 if args.test_out else 0
+    if n_train < 1 or n_test < least:
         raise DataError(
-            f"need --n-per-class >= 1 and --n-test-per-class >= 0, got {n_train} and {n_test}"
+            f"need --n-per-class >= 1 and --n-test-per-class >= {least}, got {n_train} and {n_test}"
         )
+    if args.test_out and os.path.realpath(args.out) == os.path.realpath(args.test_out):
+        raise DataError(f"--out and --test-out name the same file: {args.test_out}")
+    n = n_train + (n_test if args.test_out else 0)
     spec = SynthSpec(
-        n_per_class=n_train + n_test,
+        n_per_class=n,
         basis=basis,
         true_support=support,
         effect_sizes=effects,
@@ -162,17 +164,13 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     dataset = generate_dataset(spec)
-    if not args.test_out:
-        save_dataset(dataset, args.out)
-        print(f"wrote {args.out}: {dataset.n} curves, d={args.d}")
-        return 0
     # each class holds n_train training curves, then n_test held-out ones
-    train = np.arange(2 * (n_train + n_test)) % (n_train + n_test) < n_train
-    outputs = [(args.out, train), (args.test_out, ~train)]
-    for path, rows in outputs:
-        save_dataset(CurveDataset(curves=dataset.curves[rows], labels=dataset.labels[rows]), path)
-    for path, rows in outputs:
-        print(f"wrote {path}: {np.count_nonzero(rows)} curves, d={args.d}")
+    splits = [(args.out, 0, n_train), (args.test_out, n_train, n)]
+    outputs = [(path, start, stop) for path, start, stop in splits if path]
+    for path, start, stop in outputs:
+        save_dataset(dataset, path, (slice(start, stop), slice(n + start, n + stop)))
+    for path, start, stop in outputs:
+        print(f"wrote {path}: {2 * (stop - start)} curves, d={args.d}")
     return 0
 
 

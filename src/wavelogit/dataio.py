@@ -100,15 +100,17 @@ def check_writable(path: str):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _dataset_lines(dataset: CurveDataset):
+def _dataset_lines(dataset: CurveDataset, rows):
     yield "label," + ",".join(f"t{j}" for j in range(1, dataset.d + 1))
-    for label, row in zip(dataset.labels, dataset.curves):
-        yield f"{int(label)}," + ",".join(_fmt(v) for v in row)
+    for part in rows:
+        for label, row in zip(dataset.labels[part], dataset.curves[part]):
+            yield f"{int(label)}," + ",".join(_fmt(v) for v in row)
 
 
-def save_dataset(dataset: CurveDataset, path: str):
-    """Write `label,t1,...,td` CSV with 17-significant-digit values."""
-    _atomic_write(path, _dataset_lines(dataset))
+def save_dataset(dataset: CurveDataset, path: str, rows=(slice(None),)):
+    """Write `label,t1,...,td` CSV with 17-significant-digit values: the rows
+    of each slice in ``rows``, in order (every row by default), copying none."""
+    _atomic_write(path, _dataset_lines(dataset, rows))
 
 
 def _parse_cell(path, line_no, text, what):

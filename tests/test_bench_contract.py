@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from wavelogit import cli
 from wavelogit.penalized import FitConfig, PenalizedSolution, fit_reduced_penalized, fit_wnet
 from wavelogit.select import SelectionResult
 
@@ -46,3 +47,28 @@ def test_solver_observers_find_their_inputs_and_outputs():
         assert list(inspect.signature(solver).parameters)[-1] == "config"
     assert "iterations" in {f.name for f in fields(PenalizedSolution)}
     assert {"configs", "messages"} <= {f.name for f in fields(SelectionResult)}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+def test_simulate_calls_the_traced_writers(tmp_path, monkeypatch, capsys, split):
+    """``simulate`` draws once with ``generate_dataset`` and writes each file
+    with one ``save_dataset`` call whose second positional argument is the
+    path: the tracer reads the written size from ``args[1]``, and the bench
+    self-test needs both functions to take time."""
+    calls = {"generate_dataset": [], "save_dataset": []}
+    for name in calls:
+        real = getattr(cli, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name].append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    paths = [str(tmp_path / "train.csv")] + ([str(tmp_path / "test.csv")] if split else [])
+    test_out = ["--test-out", paths[-1]] if split else []
+    assert cli.main(["simulate", "--out", paths[0], *test_out, "--n-per-class", "5",
+                     "--n-test-per-class", "3", "--d", "32", "--j0", "2",
+                     "--support", "10", "--effects", "1.0"]) == 0
+    capsys.readouterr()
+    assert len(calls["generate_dataset"]) == 1
+    assert [args[1] for args in calls["save_dataset"]] == paths

@@ -131,8 +131,18 @@ class TestWorkflow:
                 ["--n-per-class", "150", "--d", "1024", "--wavelet", "db8"],
                 {"train.csv": "3d8349024e5796f98b4d7d72088bb35948ed6bde6862f600008c9c65ff6fbb8c"},
             ),
+            (
+                # five blocks of 64 rows; the splits end at rows 100 and 250 and
+                # class 1 starts at row 150, each inside a block
+                ["--n-per-class", "100", "--n-test-per-class", "50", "--d", "1024",
+                 "--wavelet", "db8"],
+                {
+                    "train.csv": "e207eb7db2d670bc3d8243ec99ac6f603c14d538257829055fabc4f757c0200c",
+                    "test.csv": "9f1af5bba23e30f2c8b05e7adb85ce3408b3dc410ec30fec405f7c0365967cc0",
+                },
+            ),
         ],
-        ids=["readme-set", "multi-block"],
+        ids=["readme-set", "multi-block", "multi-block-split"],
     )
     def test_simulate_bytes_are_pinned(self, tmp_path, capsys, args, digests):
         """The files of the whole-matrix generator, kept byte for byte by
@@ -214,13 +224,31 @@ class TestExitCodes:
         assert main(args) == 2
         assert "at least one point" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("counts", [("8", "-1"), ("-1", "8"), ("0", "8")])
+    @pytest.mark.parametrize(
+        "counts",
+        # (--n-per-class, --n-test-per-class, whether --test-out is given)
+        [("8", "-1", True), ("-1", "8", True), ("0", "8", True), ("8", "0", True),
+         ("8", "-1", False)],
+    )
     def test_bad_simulate_count_is_2(self, tmp_path, capsys, counts):
-        args = ["simulate", "--out", str(tmp_path / "a.csv"),
-                "--test-out", str(tmp_path / "b.csv"),
+        """Refused before any file is written; a split needs a held-out curve."""
+        test_out = ["--test-out", str(tmp_path / "b.csv")] if counts[2] else []
+        args = ["simulate", "--out", str(tmp_path / "a.csv"), *test_out,
                 "--n-per-class", counts[0], "--n-test-per-class", counts[1]]
         assert main(args) == 2
-        assert "need --n-per-class >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "need --n-per-class >= 1 and --n-test-per-class >= " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("test_out", ["same.csv", "./same.csv", "link.csv"])
+    def test_simulate_outputs_naming_one_file_is_2(self, tmp_path, monkeypatch, capsys, test_out):
+        """Both outputs resolving to one file is refused before writing:
+        the held-out curves would overwrite the training ones."""
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same.csv", "link.csv")
+        assert main(["simulate", "--out", "same.csv", "--test-out", test_out] + SIM_ARGS) == 2
+        assert "--out and --test-out name the same file" in capsys.readouterr().err
+        assert sorted(os.listdir()) == ["link.csv"] and not os.path.exists("same.csv")
 
     @pytest.mark.parametrize("command", ["simulate", "cv"])
     def test_negative_seed_is_2(self, tmp_path, capsys, command):

@@ -96,6 +96,20 @@ class TestDatasetCsv:
         assert np.array_equal(back.curves, dataset.curves)
         assert np.array_equal(back.labels, dataset.labels)
 
+    def test_rows_writes_the_slices_in_order(self, tmp_path):
+        """``rows`` writes the file a copy of those rows would write."""
+        dataset = tiny_dataset(n=10)
+        picked = np.r_[6:9, 0:2]
+        copy = CurveDataset(curves=dataset.curves[picked], labels=dataset.labels[picked])
+        sliced, copied = tmp_path / "sliced.csv", tmp_path / "copied.csv"
+        save_dataset(dataset, str(sliced), (slice(6, 9), slice(0, 2), slice(4, 4)))
+        save_dataset(copy, str(copied))
+        assert sliced.read_bytes() == copied.read_bytes()
+        whole = tmp_path / "whole.csv"
+        save_dataset(dataset, str(whole))
+        save_dataset(dataset, str(sliced), (slice(0, 3), slice(3, None)))
+        assert sliced.read_bytes() == whole.read_bytes()
+
     def test_generated_dataset_round_trip(self, tmp_path):
         spec = SynthSpec(
             n_per_class=10,

@@ -239,6 +239,21 @@ class TestBoundedMemory:
         curves_nbytes = 2 * self.N_PER_CLASS * self.D * 8
         assert peak - curves_nbytes <= self.MARGIN < curves_nbytes, peak - curves_nbytes
 
+    def test_split_command_holds_the_curves(self, tmp_path, capsys):
+        """With --test-out each file is written from row ranges of the one
+        array: copying the 1200 training curves (9.8 MB) breaks the bound."""
+        args = ["--n-per-class", "600", "--n-test-per-class", "200", "--d", str(self.D),
+                "--wavelet", "db8", "--test-out", str(tmp_path / "test.csv")]
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--out", str(tmp_path / "train.csv"), *args]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        curves_nbytes = 2 * 800 * self.D * 8
+        assert peak - curves_nbytes <= self.MARGIN, peak - curves_nbytes
+
 
 class TestGenerateBeta:
     def test_empty_support_is_zero(self):
