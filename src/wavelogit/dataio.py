@@ -75,8 +75,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _refuse_special(path: str):
+    """The rename would replace a FIFO, device or socket at ``path``: refuse it."""
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        raise DataError(f"cannot write {path}: not a regular file")
+
+
 def _atomic_write(path: str, lines):
     """Write each of ``lines`` followed by a newline, then rename into place."""
+    _refuse_special(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -90,6 +97,7 @@ def _atomic_write(path: str, lines):
 
 def check_writable(path: str):
     """Raise the DataError that writing ``path`` would raise, writing nothing."""
+    _refuse_special(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         open(tmp, "w").close()

@@ -5,7 +5,9 @@ log-likelihood plus an l1 penalty on the detail coefficients, optionally
 restricted to a reduced subspace omega = V_q @ gamma.
 
 - wnet: penalty only, solved by accelerated proximal gradient (monotone
-  restart, backtracking step size).
+  restart, backtracking step size); a step does two products with the
+  design, two with its transpose and two likelihood sums, plus one product
+  and one sum per backtrack.
 - wpcr / wpls: penalty plus subspace constraint, a generalized lasso in
   gamma, solved by residual-balanced, over-relaxed ADMM.
 - wcr / wls: subspace constraint from a sparse reduction, no penalty.
@@ -31,6 +33,7 @@ from .glm import (
     _nll_from_eta,
     _nll_grad,
     _with_intercept,
+    link_logistic,
 )
 from .reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, sparse_component_fit
 
@@ -169,9 +172,6 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     aug = _with_intercept(data.theta)
     pen = np.concatenate([[False], _detail_mask(data)])
 
-    def objective(beta):
-        return _nll_from_eta(aug @ beta, y) + lam * np.sum(np.abs(beta[pen]))
-
     def prox(beta, step):
         out = beta.copy()
         out[pen] = soft_threshold(beta[pen], step * lam)
@@ -181,7 +181,8 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     lipschitz = max(np.sum(aug * aug) / (4.0 * n), 1e-12)
 
     def descend(point):
-        """One backtracked proximal-gradient step from ``point``."""
+        """One backtracked proximal-gradient step from ``point``: the accepted
+        candidate, its linear predictor and its objective."""
         nonlocal lipschitz
         nll_p, grad_p = _nll_grad(aug, y, point)
         while True:
@@ -189,8 +190,10 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
             cand = prox(point - step * grad_p, step)
             diff = cand - point
             bound = nll_p + grad_p @ diff + (diff @ diff) / (2.0 * step)
-            if _nll_from_eta(aug @ cand, y) <= bound + 1e-12:
-                return cand
+            eta = aug @ cand
+            nll = _nll_from_eta(eta, y)
+            if nll <= bound + 1e-12:
+                return cand, eta, nll + lam * np.sum(np.abs(cand[pen]))
             lipschitz *= 2.0
 
     # warm start at the null fit that defines lambda_max, so any lam at or
@@ -201,28 +204,26 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
         beta = np.zeros(aug.shape[1])
     momentum = beta.copy()
     t_k = 1.0
-    obj = objective(beta)
+    eta = aug @ beta
+    obj = _nll_from_eta(eta, y) + lam * np.sum(np.abs(beta[pen]))
     trace = [obj]
     kkt = np.inf
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        cand = descend(momentum)
-        cand_obj = objective(cand)
+        cand, cand_eta, cand_obj = descend(momentum)
         if cand_obj > obj + 1e-12:
             # momentum overshot: restart acceleration from the accepted iterate
             t_k = 1.0
-            cand = descend(beta)
-            cand_obj = objective(cand)
+            cand, cand_eta, cand_obj = descend(beta)
             if cand_obj > obj + 1e-12:
-                cand, cand_obj = beta, obj
+                cand, cand_eta, cand_obj = beta, eta, obj
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
         momentum = cand + ((t_k - 1.0) / t_next) * (cand - beta)
         t_k = t_next
         rel_change = abs(obj - cand_obj) / max(1.0, abs(obj))
-        beta, obj = cand, cand_obj
+        beta, eta, obj = cand, cand_eta, cand_obj
         trace.append(obj)
-        _, grad = _nll_grad(aug, y, beta)
-        kkt = _kkt_residual(grad, beta, lam, pen)
+        kkt = _kkt_residual(aug.T @ (link_logistic(eta) - y), beta, lam, pen)
         if kkt <= 1e-5 and rel_change <= config.tol:
             break
     else:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+import stat
 import subprocess
 import sys
 import warnings
@@ -315,15 +316,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "fit", "cv", "predict", "export-beta"])
     def test_unwritable_out_is_2(self, tmp_path, capsys, command):
-        """An --out in a missing directory or naming a directory is refused
-        with the writers' message, and no temporary file is left."""
+        """An --out in a missing directory, naming a directory or naming a
+        FIFO is refused with the writers' message, and no temporary file is
+        left; the FIFO, which the writers' rename would replace with a
+        regular file, stays a FIFO."""
         train, test = simulate(tmp_path)
         model_path = str(tmp_path / "m.json")
         assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
                      "--j0", "2", "--out", model_path]) == 0
         (tmp_path / "taken").mkdir()
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
         capsys.readouterr()
-        for out in (str(tmp_path / "missing" / "x"), str(tmp_path / "taken")):
+        for out in (str(tmp_path / "missing" / "x"), str(tmp_path / "taken"), fifo):
             args = {
                 "simulate": ["simulate", "--out", out] + SIM_ARGS,
                 "fit": ["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
@@ -334,8 +339,19 @@ class TestExitCodes:
                 "export-beta": ["export-beta", "--model", model_path, "--out", out],
             }[command]
             assert main(args) == 2
-            assert capsys.readouterr().err.startswith(f"wavelogit: error: cannot write {out}: ")
+            err = capsys.readouterr().err
+            assert err.startswith(f"wavelogit: error: cannot write {out}: ")
+            assert out != fifo or err.endswith(": not a regular file\n")
             assert list(tmp_path.rglob("*.tmp*")) == []
+        if command == "simulate":
+            assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--test-out", fifo]
+                        + SIM_ARGS) == 2
+            assert capsys.readouterr().err == (
+                f"wavelogit: error: cannot write {fifo}: not a regular file\n"
+            )
+            assert not (tmp_path / "s.csv").exists()
+            assert list(tmp_path.rglob("*.tmp*")) == []
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     @pytest.mark.parametrize(
         "flags, parameter",

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import stat
 import sys
 import tracemalloc
 import warnings
@@ -109,6 +111,17 @@ class TestDatasetCsv:
         save_dataset(dataset, str(whole))
         save_dataset(dataset, str(sliced), (slice(0, 3), slice(3, None)))
         assert sliced.read_bytes() == whole.read_bytes()
+
+    def test_fifo_target_is_refused_and_kept(self, tmp_path):
+        """Renaming the temporary file over a FIFO would replace it with a
+        regular file, so the writer refuses an existing path that is neither
+        a regular file nor a directory."""
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(DataError, match=f"^cannot write {fifo}: not a regular file$"):
+            save_dataset(tiny_dataset(), str(fifo))
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.glob("*.tmp*")) == []
 
     def test_generated_dataset_round_trip(self, tmp_path):
         spec = SynthSpec(

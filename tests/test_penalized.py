@@ -1,9 +1,15 @@
 """Tests for the penalized and reduced-basis logistic solvers."""
 
+from collections import Counter
+import hashlib
+
 import numpy as np
 import pytest
 
-from wavelogit.exceptions import DataError, SeparationError
+from wavelogit import glm, penalized
+from wavelogit.cli import main
+from wavelogit.dataio import load_dataset, to_coefficients
+from wavelogit.exceptions import ConvergenceError, DataError, SeparationError
 from wavelogit.glm import (
     LabeledCoefficients,
     _newton,
@@ -183,6 +189,66 @@ class TestWnet:
         assert np.array_equal(a.omega, b.omega)
         assert a.intercept == b.intercept
         assert a.iterations == b.iterations
+
+
+@pytest.fixture(scope="module")
+def readme_set(tmp_path_factory):
+    """The README training set (150 curves, d = 256) in the default basis."""
+    folder = tmp_path_factory.mktemp("readme")
+    train = str(folder / "train.csv")
+    assert main([
+        "simulate", "--out", train, "--test-out", str(folder / "test.csv"),
+        "--n-per-class", "75", "--n-test-per-class", "25", "--seed", "0",
+    ]) == 0
+    return to_coefficients(load_dataset(train), make_basis())
+
+
+# sha256 of every wnet fit along the README set's default 20-lambda grid:
+# omega, objective trace, intercept, KKT residual and iteration count.  A
+# solver change that moves a bit on purpose updates it and says why.
+README_PATH_SHA256 = "d50adbbe7163caf3b0624f1f4247284d7815474d59d514e0931ed4b2cbfad990"
+
+
+class TestWnetReadmePath:
+    def test_bits_are_pinned(self, readme_set):
+        digest = hashlib.sha256()
+        for lam in default_lambda_grid(readme_set, 20):
+            sol = fit_wnet(readme_set, FitConfig(estimator="wnet", lam=float(lam)))
+            for part in (sol.omega, sol.objective_trace, [sol.intercept, sol.kkt_residual]):
+                digest.update(np.asarray(part, dtype=float).tobytes())
+            digest.update(str(sol.iterations).encode())
+        assert digest.hexdigest() == README_PATH_SHA256
+
+    def test_capped_residual_is_pinned(self, readme_set):
+        lam = float(default_lambda_grid(readme_set, 20)[10])
+        with pytest.raises(ConvergenceError) as info:
+            fit_wnet(readme_set, FitConfig(estimator="wnet", lam=lam, max_iter=50))
+        assert info.value.residual.hex() == "0x1.21a0c29e9fabcp-4"
+
+    def test_one_gradient_and_one_likelihood_per_step(self, readme_set, monkeypatch):
+        """A step evaluates the gradient once, at the point it descends from,
+        and the likelihood once per candidate; the KKT gradient reuses the
+        accepted candidate's linear predictor.  Restarts, backtracks and the
+        null fit's Newton steps add a few calls."""
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(penalized, "_nll_grad", counted("grad", penalized._nll_grad))
+        monkeypatch.setattr(penalized, "_nll_from_eta", counted("nll", penalized._nll_from_eta))
+        link = counted("link", glm.link_logistic)
+        monkeypatch.setattr(glm, "link_logistic", link)
+        monkeypatch.setattr(penalized, "link_logistic", link)
+        for lam in default_lambda_grid(readme_set, 20)[[5, 10, 15]]:
+            counts.clear()
+            steps = fit_wnet(readme_set, FitConfig(estimator="wnet", lam=float(lam))).iterations
+            assert steps <= counts["grad"] <= steps + 10
+            assert steps <= counts["nll"] <= steps + 10
+            assert 2 * steps <= counts["link"] <= 2 * steps + 10
 
 
 class TestReducedPenalized:
