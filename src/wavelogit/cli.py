@@ -174,18 +174,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_and_save(data, config, basis, out_path):
+def _fit_and_save(data, config, out_path):
     solution = fit_estimator(data, config)
-    save_model(model_from_fit(solution, config, basis), out_path)
+    save_model(model_from_fit(solution, config, data.basis), out_path)
     return solution
 
 
 def _cmd_fit(args) -> int:
     dataset = load_dataset(args.data)
-    basis = make_basis(args.wavelet, args.j0, dataset.d)
-    data = to_coefficients(dataset, basis)
+    data = to_coefficients(dataset, make_basis(args.wavelet, args.j0, dataset.d))
     config = FitConfig(estimator=args.method, lam=args.lam, q=args.q, tau=args.tau)
-    solution = _fit_and_save(data, config, basis, args.out)
+    solution = _fit_and_save(data, config, args.out)
     print(
         f"fit {args.method}: {solution.nonzero_detail_count} nonzero detail "
         f"coefficients, {solution.iterations} iterations; wrote {args.out}"
@@ -229,8 +228,7 @@ def _build_grid(args, data) -> list:
 
 def _cmd_cv(args) -> int:
     dataset = load_dataset(args.data)
-    basis = make_basis(args.wavelet, args.j0, dataset.d)
-    data = to_coefficients(dataset, basis)
+    data = to_coefficients(dataset, make_basis(args.wavelet, args.j0, dataset.d))
     grid = _build_grid(args, data)
     if args.select == "aicc":
         result = select_by_aicc(data, grid)
@@ -247,7 +245,7 @@ def _cmd_cv(args) -> int:
     )
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
     failed = sum(message is not None for message in result.messages)
-    _fit_and_save(data, best, basis, args.out)
+    _fit_and_save(data, best, args.out)
     print(
         f"selected {best.estimator}: {', '.join(params)}"
         + f" ({label} = {result.best_criterion:.6g} over {len(grid)} configurations"

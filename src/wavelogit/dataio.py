@@ -21,7 +21,7 @@ from .exceptions import DataError, DimensionError, ModelFileError, ParseError
 from .glm import LabeledCoefficients
 from .model import FittedModel
 from .penalized import FitConfig
-from .wavelet import WaveletBasis, _block_bounds, dwt_forward
+from .wavelet import WaveletBasis, _block_bounds, _is_power_of_two, dwt_forward
 
 # version 1 files also hold a reduced fit's "center" and "loadings"; loading
 # still reads them and ignores those two keys
@@ -42,9 +42,8 @@ class CurveDataset:
         object.__setattr__(self, "labels", labels)
         if curves.ndim != 2 or curves.shape[0] < 1:
             raise DimensionError("curves must be a non-empty 2-D array")
-        d = curves.shape[1]
-        if d < 2 or d & (d - 1) != 0:
-            raise DataError(f"curve length must be a power of two >= 2, got {d}")
+        if not _is_power_of_two(curves.shape[1]):
+            raise DataError(f"curve length must be a power of two >= 2, got {curves.shape[1]}")
         if labels.shape != (curves.shape[0],):
             raise DimensionError("labels must have one entry per curve")
         # a block at a time, so the check holds no n x d temporary
@@ -64,10 +63,7 @@ class CurveDataset:
 
 def to_coefficients(dataset: CurveDataset, basis: WaveletBasis) -> LabeledCoefficients:
     """Wavelet-transform every curve; the fitting modules work on the result."""
-    if basis.d != dataset.d:
-        raise DimensionError(f"basis expects d={basis.d}, dataset has d={dataset.d}")
-    theta = dwt_forward(dataset.curves, basis)
-    return LabeledCoefficients(theta=theta, labels=dataset.labels, j0=basis.j0)
+    return LabeledCoefficients(dwt_forward(dataset.curves, basis), dataset.labels, basis)
 
 
 def _fmt(x: float) -> str:
@@ -187,7 +183,7 @@ def _dataset_blocks(path: str):
     if header[0].strip() != "label":
         raise ParseError(path, 1, "header must start with 'label'")
     d = len(header) - 1
-    if d < 2 or d & (d - 1) != 0:
+    if not _is_power_of_two(d):
         raise ParseError(path, 1, f"curve length must be a power of two >= 2, got {d} columns")
     if n == 0:
         raise ParseError(path, 2, "no data rows")

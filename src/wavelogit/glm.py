@@ -21,24 +21,24 @@ from .exceptions import (
     DimensionError,
     SeparationError,
     SingularityError,
-    _as_int,
 )
+from .wavelet import WaveletBasis
 
 
 @dataclass(frozen=True)
 class LabeledCoefficients:
-    """Coefficient matrix (n rows, d = theta.shape[1] columns) with binary labels."""
+    """Coefficient matrix (n rows, ``basis.d`` columns) with binary labels;
+    its first ``basis.n_scale`` columns are the scale block."""
 
     theta: np.ndarray
     labels: np.ndarray
-    j0: int
+    basis: WaveletBasis
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         labels = np.asarray(self.labels, dtype=float)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "j0", _as_int(self.j0, "j0"))
         if theta.ndim != 2:
             raise DimensionError(f"theta must be 2-D, got ndim={theta.ndim}")
         n, d = theta.shape
@@ -46,14 +46,14 @@ class LabeledCoefficients:
             raise DimensionError(
                 f"labels shape {labels.shape} does not match {n} rows of theta"
             )
-        if n < 2 or d < 2:
-            raise DataError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+        if d != self.basis.d:
+            raise DimensionError(f"theta has {d} columns, basis expects d={self.basis.d}")
+        if n < 2:
+            raise DataError(f"need n >= 2, got n={n}")
         if not np.all(np.isfinite(theta)):
             raise DataError("coefficients must be finite")
         if not np.all((labels == 0.0) | (labels == 1.0)):
             raise DataError("labels must contain only 0 and 1")
-        if self.j0 < 0 or (1 << self.j0) >= d:
-            raise DataError(f"j0={self.j0} incompatible with d={d}")
 
     @property
     def n(self) -> int:
@@ -62,10 +62,6 @@ class LabeledCoefficients:
     @property
     def d(self) -> int:
         return self.theta.shape[1]
-
-    @property
-    def n_scale(self) -> int:
-        return 1 << self.j0
 
     def require_both_classes(self):
         if self.labels.min() == self.labels.max():

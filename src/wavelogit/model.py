@@ -54,12 +54,17 @@ class FittedModel:
         Rows are transformed and scored one block at a time, so the
         coefficients of the whole batch are never held. Each block's scores
         are one matrix-vector product, so a file scored block by block, as
-        ``predict`` does, gets the bits of the whole array.
+        ``predict`` does, gets the bits of the whole array. A curve whose
+        linear predictor is not finite (its values overflow) raises DataError.
         """
         batch, squeeze = _as_batch(curves, self.basis.d, "signal")
         probs = np.empty(batch.shape[0])
         for block, out in _row_blocks(batch, probs):
-            out[:] = link_logistic(dwt_forward(block, self.basis) @ self.omega + self.intercept)
+            with np.errstate(over="ignore", invalid="ignore"):
+                eta = dwt_forward(block, self.basis) @ self.omega + self.intercept
+            if not np.all(np.isfinite(eta)):
+                raise DataError("a curve's linear predictor is not finite: its values overflow")
+            out[:] = link_logistic(eta)
         return probs[0] if squeeze else probs
 
     def beta(self) -> np.ndarray:

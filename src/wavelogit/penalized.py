@@ -15,8 +15,8 @@ restricted to a reduced subspace omega = V_q @ gamma.
 Every smooth subproblem goes to the damped Newton routine of ``glm``: the
 wcr/wls fit, the ADMM gamma-update (likelihood plus the augmented-Lagrangian
 quadratic) and the null fit shared by ``lambda_max`` and the wnet warm start.
-Scale coefficients (the first 2**j0 positions) and the intercept are never
-penalized.
+The intercept and the scale block (the first ``basis.n_scale`` coefficients)
+are never penalized; the penalized block is the slice after them.
 """
 
 from __future__ import annotations
@@ -116,18 +116,12 @@ class PenalizedSolution:
     iterations: int
 
 
-def _detail_mask(data: LabeledCoefficients) -> np.ndarray:
-    mask = np.ones(data.d, dtype=bool)
-    mask[: data.n_scale] = False
-    return mask
-
-
 def _null_fit(data: LabeledCoefficients, aug: np.ndarray) -> np.ndarray:
     """Maximum-likelihood fit of the intercept and scale block (the lasso
     null model); detail coordinates stay 0.  ``lambda_max`` and the wnet
     warm start both fit on the full augmented design, so the solver starts
     at the detail gradients that define lambda_max, bit for bit."""
-    free = 1 + data.n_scale
+    free = 1 + data.basis.n_scale
     beta = np.zeros(aug.shape[1])
     beta[:free], _ = _newton(aug[:, :free], data.labels, beta[:free], 200, 1e-10)
     return beta
@@ -142,21 +136,19 @@ def lambda_max(data: LabeledCoefficients) -> float:
     data.require_both_classes()
     aug = _with_intercept(data.theta)
     _, grad = _nll_grad(aug, data.labels, _null_fit(data, aug))
-    return float(np.max(np.abs(grad[1:][_detail_mask(data)])))
+    return float(np.max(np.abs(grad[1 + data.basis.n_scale :])))
 
 
-def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam: float, pen: np.ndarray) -> float:
+def _kkt_residual(grad: np.ndarray, beta: np.ndarray, lam: float, free: int) -> float:
     """Sup-norm violation of the l1 stationarity conditions.
 
-    ``pen`` marks the penalized coordinates of the augmented vector; the
-    rest must have zero gradient at an optimum. A penalized zero violates
-    by how far |g| passes ``lam``, a penalized nonzero by |g + lam sign(b)|.
+    The first ``free`` coordinates are unpenalized and must have zero
+    gradient at an optimum. A penalized zero violates by how far |g| passes
+    ``lam``, a penalized nonzero by |g + lam sign(b)|; one maximum keeps a NaN.
     """
-    violation = np.where(
-        pen,
-        np.where(beta == 0.0, np.abs(grad) - lam, np.abs(grad + lam * np.sign(beta))),
-        np.abs(grad),
-    )
+    violation = np.abs(grad)
+    g, b = grad[free:], beta[free:]
+    violation[free:] = np.where(b == 0.0, violation[free:] - lam, np.abs(g + lam * np.sign(b)))
     return float(np.max(violation, initial=0.0))
 
 
@@ -168,13 +160,13 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     lam = config.lam
     y = data.labels
     n = data.n
-    # column 0 is the intercept; penalty applies to detail coordinates only
+    # column 0 is the intercept; penalty applies to the detail slice only
     aug = _with_intercept(data.theta)
-    pen = np.concatenate([[False], _detail_mask(data)])
+    free = 1 + data.basis.n_scale
 
     def prox(beta, step):
         out = beta.copy()
-        out[pen] = soft_threshold(beta[pen], step * lam)
+        out[free:] = soft_threshold(beta[free:], step * lam)
         return out
 
     # optimistic curvature estimate; backtracking doubles it as needed
@@ -193,7 +185,7 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
             eta = aug @ cand
             nll = _nll_from_eta(eta, y)
             if nll <= bound + 1e-12:
-                return cand, eta, nll + lam * np.sum(np.abs(cand[pen]))
+                return cand, eta, nll + lam * np.sum(np.abs(cand[free:]))
             lipschitz *= 2.0
 
     # warm start at the null fit that defines lambda_max, so any lam at or
@@ -205,7 +197,7 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     momentum = beta.copy()
     t_k = 1.0
     eta = aug @ beta
-    obj = _nll_from_eta(eta, y) + lam * np.sum(np.abs(beta[pen]))
+    obj = _nll_from_eta(eta, y) + lam * np.sum(np.abs(beta[free:]))
     trace = [obj]
     kkt = np.inf
     iterations = 0
@@ -223,7 +215,7 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
         rel_change = abs(obj - cand_obj) / max(1.0, abs(obj))
         beta, eta, obj = cand, cand_eta, cand_obj
         trace.append(obj)
-        kkt = _kkt_residual(aug.T @ (link_logistic(eta) - y), beta, lam, pen)
+        kkt = _kkt_residual(aug.T @ (link_logistic(eta) - y), beta, lam, free)
         if kkt <= 1e-5 and rel_change <= config.tol:
             break
     else:
@@ -239,7 +231,7 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
         gamma=None,
         objective_trace=np.asarray(trace),
         kkt_residual=kkt,
-        nonzero_detail_count=int(np.count_nonzero(omega[_detail_mask(data)])),
+        nonzero_detail_count=int(np.count_nonzero(beta[free:])),
         iterations=iterations,
     )
 
@@ -269,10 +261,9 @@ def fit_reduced_penalized(
     lam = config.lam
     y = data.labels
     q = loadings.shape[1]
-    detail = _detail_mask(data)
     # design in gamma space, with an intercept column
     design = _with_intercept(data.theta @ loadings)
-    d_map = loadings[detail]  # maps gamma to the penalized block
+    d_map = loadings[data.basis.n_scale :]  # maps gamma to the penalized block
     gram = d_map.T @ d_map
     rho = max(lam, 1.0)
 
@@ -348,14 +339,13 @@ def fit_reduced_unpenalized(
     gamma, intercept = coef[1:], float(coef[0])
     omega = loadings @ gamma
     nll_end, grad = _nll_grad(aug, data.labels, coef)
-    detail = _detail_mask(data)
     return PenalizedSolution(
         omega=omega,
         intercept=intercept,
         gamma=gamma,
         objective_trace=np.asarray([nll_start, nll_end]),
         kkt_residual=float(np.max(np.abs(grad))),
-        nonzero_detail_count=int(np.count_nonzero(omega[detail])),
+        nonzero_detail_count=int(np.count_nonzero(omega[data.basis.n_scale :])),
         iterations=iterations,
     )
 

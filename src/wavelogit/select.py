@@ -163,7 +163,7 @@ def cross_validate(data: LabeledCoefficients, grid, folds: FoldPlan) -> Selectio
     for fold in range(folds.k):
         train, test = folds.split(fold)
         train_data = LabeledCoefficients(
-            theta=data.theta[train], labels=data.labels[train], j0=data.j0
+            theta=data.theta[train], labels=data.labels[train], basis=data.basis
         )
         _score_grid(train_data, grid, _heldout_auc(data, test), scores[:, fold], messages)
     return _selection(grid, scores.mean(axis=1), messages, np.max)

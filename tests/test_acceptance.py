@@ -114,13 +114,13 @@ def test_criterion_2_gradient_matches_finite_differences():
     h = 1e-6
     worst = 0.0
     for _ in range(100):
-        n, d = 25, 6
+        n, d = 25, 8
         theta = rng.standard_normal((n, d))
         omega, intercept = rng.standard_normal(d), rng.standard_normal()
         y = (rng.random(n) < link_logistic(theta @ omega + intercept)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-        data = LabeledCoefficients(theta=theta, labels=y, j0=1)
+        data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 1, d))
         g, gi = nll_gradient(omega, intercept, data)
         for j in range(d + 1):
             def at(delta):
@@ -155,7 +155,7 @@ def test_criterion_3_unpenalized_oracle():
         y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-        data = LabeledCoefficients(theta=theta, labels=y, j0=2)
+        data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 2, d))
         oracle_omega, oracle_intercept = irls_fit(data)
         assert np.max(np.abs(oracle_omega)) < 50.0  # sanity: nowhere near separation
         sol = fit_wnet(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=50000))
@@ -176,7 +176,7 @@ def _sign_consistent_kkt(data, solution, lam):
     beta = np.concatenate([[solution.intercept], solution.omega])
     grad = aug.T @ (link_logistic(aug @ beta) - data.labels)
     pen = np.zeros(data.d + 1, dtype=bool)
-    pen[1 + data.n_scale :] = True
+    pen[1 + data.basis.n_scale :] = True
     res = float(np.max(np.abs(grad[~pen])))
     zero = pen & (beta == 0.0)
     if np.any(zero):
@@ -199,7 +199,7 @@ def test_criterion_4_kkt_certificates_and_lambda_max():
         y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-        data = LabeledCoefficients(theta=theta, labels=y, j0=2)
+        data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 2, d))
         top = lambda_max(data)
         for lam in np.geomspace(1e-3 * top, top, 6):
             sol = fit_wnet(data, FitConfig(estimator="wnet", lam=lam))
@@ -210,7 +210,7 @@ def test_criterion_4_kkt_certificates_and_lambda_max():
         for factor in (1.0, 1.5):
             sol = fit_wnet(data, FitConfig(estimator="wnet", lam=factor * top))
             assert sol.nonzero_detail_count == 0
-            assert np.all(sol.omega[data.n_scale :] == 0.0)
+            assert np.all(sol.omega[data.basis.n_scale :] == 0.0)
     print(f"criterion 4 PASS: worst recomputed KKT residual {worst:.2e}")
 
 
@@ -334,7 +334,7 @@ def test_criterion_7_reduction_sanity():
     theta = rng.standard_normal((120, 16))
     w = rng.standard_normal(16) * 0.6 / 4.0
     y = (rng.random(120) < link_logistic(theta @ w)).astype(float)
-    data = LabeledCoefficients(theta=theta, labels=y, j0=2)
+    data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 2, 16))
     wnet = fit_estimator(data, FitConfig(estimator="wnet", lam=0.0, tol=1e-10, max_iter=20000))
     wpcr = fit_estimator(data, FitConfig(estimator="wpcr", lam=0.0, q=16))
     nll_gap = abs(

@@ -188,6 +188,26 @@ class TestExitCodes:
               "--j0", "2", "--support", "10", "--effects", "1.0"])
         assert main(["evaluate", "--model", model_path, "--data", other]) == 2
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_curve_that_overflows_is_2(self, tmp_path, capsys, command):
+        """Row 1 holds 32 finite values of 1e308, which overflow the
+        transform: predict wrote a NaN and evaluate printed an AUC, both
+        exiting 0. Now both exit 2, and predict writes no file."""
+        data, model, probs = (str(tmp_path / name) for name in ("d.csv", "m.json", "p.csv"))
+        main(["simulate", "--out", data, "--n-per-class", "20", "--d", "32", "--j0", "2",
+              "--support", "10", "--effects", "1.0"])
+        assert main(["fit", "--data", data, "--method", "wnet", "--lambda", "0.5",
+                     "--j0", "2", "--out", model]) == 0
+        lines = Path(data).read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + ",1e308" * 32
+        Path(data).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["--model", model, "--data", data] + (["--out", probs] if command == "predict" else [])
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "linear predictor is not finite" in captured.err
+        assert not os.path.exists(probs)
+
     def test_numerical_error_is_3(self, tmp_path, capsys):
         train, _ = simulate(tmp_path)
         out = str(tmp_path / "m.json")

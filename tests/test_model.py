@@ -57,6 +57,14 @@ class TestFittedModel:
         with pytest.raises(DimensionError):
             model.predict_proba(np.zeros((3, 8)))
 
+    def test_predict_refuses_a_curve_that_overflows(self):
+        """Finite values of 1e308 overflow the transform; the score was NaN."""
+        model = make_model(omega=np.full(16, 0.1))
+        curves = np.zeros((3, 16))
+        curves[1] = 1e308
+        with pytest.raises(DataError, match="linear predictor is not finite"):
+            model.predict_proba(curves)
+
     def test_beta_is_inverse_transform(self):
         rng = np.random.default_rng(1)
         omega = rng.standard_normal(16)
@@ -71,7 +79,7 @@ class TestModelFromFit:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal((40, 16))
         labels = (np.arange(40) % 2).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=labels, j0=2)
+        data = LabeledCoefficients(theta=theta, labels=labels, basis=make_basis("db4", 2, 16))
         config = FitConfig(estimator="wnet", lam=0.5)
         solution = fit_estimator(data, config)
         basis = make_basis("db4", 2, 16)

@@ -24,6 +24,7 @@ from wavelogit.penalized import (
     _kkt_residual,
     build_reduction,
     fit_estimator,
+    fit_reduced_penalized,
     fit_reduced_unpenalized,
     fit_wnet,
     lambda_max,
@@ -40,7 +41,7 @@ def random_instance(rng, n, d, j0=2, strength=1.0):
     y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
-    return LabeledCoefficients(theta=theta, labels=y, j0=j0)
+    return LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", j0, d))
 
 
 class TestSoftThreshold:
@@ -74,7 +75,7 @@ class TestLambdaMax:
             for factor in (1.0, 1.5):
                 sol = fit_wnet(data, FitConfig(estimator="wnet", lam=factor * top))
                 assert sol.nonzero_detail_count == 0
-                np.testing.assert_array_equal(sol.omega[data.n_scale :], 0.0)
+                np.testing.assert_array_equal(sol.omega[data.basis.n_scale :], 0.0)
 
     def test_just_below_activates_a_detail(self):
         data = random_instance(np.random.default_rng(3), 200, 16, strength=3.0)
@@ -101,26 +102,29 @@ def three_set_kkt_residual(grad, beta, lam, pen):
 
 class TestKktResidual:
     def test_equals_three_set_formula(self):
-        """Random gradients, penalty masks and coefficients with exact zeros,
-        including all-free, all-penalized, all-zero and empty vectors."""
+        """Random gradients, free-prefix lengths 0..k and coefficients with
+        exact zeros, including all-free, all-penalized, all-zero and empty
+        vectors and prefixes longer than the vector."""
         rng = np.random.default_rng(15)
         for trial in range(500):
             k = int(rng.integers(0, 12))
             grad = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 3)
             beta = np.where(rng.random(k) < 0.5, 0.0, rng.standard_normal(k))
-            pen = rng.random(k) < [0.0, 1.0, 0.7][trial % 3]
+            free = [k, 0, int(rng.integers(0, k + 2))][trial % 3]
             lam = float(rng.choice([0.0, rng.exponential(), 1e3]))
-            got = _kkt_residual(grad, beta, lam, pen)
-            assert got == three_set_kkt_residual(grad, beta, lam, pen), trial
+            got = _kkt_residual(grad, beta, lam, free)
+            assert got == three_set_kkt_residual(grad, beta, lam, np.arange(k) >= free), trial
 
     def test_nan_gradient_gives_nan(self):
-        """A NaN anywhere is the residual, whichever set it falls in."""
+        """A NaN anywhere is the residual, whichever block it falls in: the
+        largest of a free-block and a penalized-block maximum, taken with
+        Python's ``max``, would drop a NaN in the first block."""
         beta = np.array([0.5, 0.0, 1.0])
-        pen = np.array([False, True, True])
-        for j in range(3):
-            grad = np.array([0.1, 0.2, -0.3])
-            grad[j] = np.nan
-            assert np.isnan(_kkt_residual(grad, beta, 0.25, pen))
+        for free in range(4):
+            for j in range(3):
+                grad = np.array([0.1, 0.2, -0.3])
+                grad[j] = np.nan
+                assert np.isnan(_kkt_residual(grad, beta, 0.25, free)), (free, j)
 
 
 class TestWnet:
@@ -171,14 +175,14 @@ class TestWnet:
         w = np.zeros(d)
         w[support] = np.array([1.6, -1.3, 1.1, -1.5, 1.2])
         y = (rng.random(n) < link_logistic(theta @ w)).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=y, j0=3)
+        data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 3, d))
 
         top = lambda_max(data)
         grid = [FitConfig(estimator="wnet", lam=l) for l in np.geomspace(1e-2 * top, top, 8)]
         folds = make_folds(data.labels, 5, seed=0)
         best = cross_validate(data, grid, folds).best_config
         sol = fit_wnet(data, best)
-        found = np.flatnonzero(sol.omega[data.n_scale :] != 0.0) + data.n_scale
+        found = np.flatnonzero(sol.omega[data.basis.n_scale :] != 0.0) + data.basis.n_scale
         assert np.intersect1d(found, support).size >= 4
 
     def test_deterministic(self):
@@ -251,6 +255,43 @@ class TestWnetReadmePath:
             assert 2 * steps <= counts["link"] <= 2 * steps + 10
 
 
+# sha256 of reduced fits on the README set: every PenalizedSolution field of
+# the wpcr/wpls ADMM fits at four (q, lambda) points, and of the wcr/wls
+# Newton fits at q = 4, tau = 0 and 0.05.  A solver change that moves a bit
+# on purpose updates them and says why.
+README_ADMM_SHA256 = "aaa64dd08bea9fda22d27e0c5d766f9d4197764ef167e25ab02c8e35fdc466fe"
+README_NEWTON_SHA256 = "4e634dab9a88adacc0b44f39193edcc06013ef0152b6b41d6e23bfda747ec31e"
+
+
+def solutions_sha256(solutions):
+    digest = hashlib.sha256()
+    for sol in solutions:
+        for part in (sol.omega, sol.objective_trace, sol.gamma, [sol.intercept, sol.kkt_residual]):
+            digest.update(np.asarray(part, dtype=float).tobytes())
+        digest.update(f"{sol.nonzero_detail_count},{sol.iterations}".encode())
+    return digest.hexdigest()
+
+
+class TestReducedReadmeFits:
+    def test_admm_bits_are_pinned(self, readme_set):
+        fits = []
+        for estimator in ("wpcr", "wpls"):
+            for q, lam in ((2, 0.1), (4, 1.0), (8, 3.0), (4, 12.0)):
+                config = FitConfig(estimator, lam=lam, q=q)
+                loadings = build_reduction(readme_set, config)
+                fits.append(fit_reduced_penalized(readme_set, loadings, config))
+        assert solutions_sha256(fits) == README_ADMM_SHA256
+
+    def test_newton_bits_are_pinned(self, readme_set):
+        fits = []
+        for estimator in ("wcr", "wls"):
+            for tau in (0.0, 0.05):
+                config = FitConfig(estimator, q=4, tau=tau)
+                loadings = build_reduction(readme_set, config)
+                fits.append(fit_reduced_unpenalized(readme_set, loadings, config))
+        assert solutions_sha256(fits) == README_NEWTON_SHA256
+
+
 class TestReducedPenalized:
     def test_full_rank_unpenalized_matches_wnet(self):
         """q=d principal components span everything, so lam=0 recovers the
@@ -275,7 +316,7 @@ class TestReducedPenalized:
         rng = np.random.default_rng(12)
         data = random_instance(rng, 80, 16)
         sol = fit_estimator(data, FitConfig(estimator="wpcr", lam=1e4, q=6))
-        assert np.max(np.abs(sol.omega[data.n_scale :])) <= 1e-6
+        assert np.max(np.abs(sol.omega[data.basis.n_scale :])) <= 1e-6
 
     def test_one_factor_model_still_discriminates(self):
         """A strong single direction: q=1 PLS stays within 0.02 AUC of the
@@ -288,7 +329,7 @@ class TestReducedPenalized:
         def draw(n):
             theta = rng.standard_normal((n, d))
             y = (rng.random(n) < link_logistic(theta @ direction)).astype(float)
-            return LabeledCoefficients(theta=theta, labels=y, j0=2)
+            return LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 2, d))
 
         train, test = draw(300), draw(2000)
         pls = fit_estimator(train, FitConfig(estimator="wpls", lam=0.01, q=1))
@@ -324,7 +365,7 @@ def reduced_objective(data, loadings, lam, coef):
     """NLL plus lam * ||D V_q gamma||_1 at coef = (intercept, gamma)."""
     eta = coef[0] + data.theta @ (loadings @ coef[1:])
     nll = float(np.sum(np.logaddexp(0.0, eta) - data.labels * eta))
-    return nll + lam * float(np.sum(np.abs(loadings[data.n_scale :] @ coef[1:])))
+    return nll + lam * float(np.sum(np.abs(loadings[data.basis.n_scale :] @ coef[1:])))
 
 
 class TestReducedAdmmConvergence:
@@ -374,7 +415,7 @@ class TestReducedAdmmConvergence:
         stopping test allows: D V_q gamma may sit up to the primal residual
         off the zero set of z, worth lam * sqrt(m) * residual in penalty."""
         data, lams = capped_instance()
-        m = data.d - data.n_scale
+        m = data.d - data.basis.n_scale
         for lam in lams:
             decrease, sol = self.worst_decrease(data, estimator, lam)
             assert decrease <= 1e-8 + lam * np.sqrt(m) * sol.kkt_residual
@@ -389,7 +430,7 @@ class TestReducedUnpenalized:
         theta = rng.standard_normal((n, d))
         theta[:, 0] *= 8.0  # first coordinate dominates the variance
         y = (rng.random(n) < link_logistic(0.9 * theta[:, 0] / 8.0)).astype(float)
-        data = LabeledCoefficients(theta=theta, labels=y, j0=1)
+        data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 1, d))
 
         config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
         loadings = build_reduction(data, config)
@@ -434,10 +475,10 @@ class TestReducedUnpenalized:
         y = (theta[:, 0] > 0).astype(float)  # perfectly separable
         config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
         loadings = build_reduction(
-            LabeledCoefficients(theta=theta, labels=y, j0=1), config
+            LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 1, d)), config
         )
         # shrink the design so the diverging coefficient must cross the bound
-        tiny = LabeledCoefficients(theta=theta * 1e-3, labels=y, j0=1)
+        tiny = LabeledCoefficients(theta=theta * 1e-3, labels=y, basis=make_basis("db4", 1, d))
         with pytest.raises(SeparationError):
             fit_estimator(tiny, config, loadings=loadings)
 
@@ -466,11 +507,11 @@ class TestReducedUnpenalized:
         config = FitConfig(estimator="wcr", lam=0.0, q=2, tau=0.5)
         loadings = build_reduction(data, config)
         sol = fit_estimator(data, config, loadings=loadings)
-        detail = sol.omega[data.n_scale :]
+        detail = sol.omega[data.basis.n_scale :]
         expected = np.count_nonzero(detail)
         assert sol.nonzero_detail_count == expected
         # sparsity actually bit: some detail row of the loadings is zero
-        detail_rows = loadings[data.n_scale :]
+        detail_rows = loadings[data.basis.n_scale :]
         assert np.any(np.all(detail_rows == 0.0, axis=1))
 
 

@@ -28,6 +28,7 @@ from wavelogit.select import (
     make_folds,
     select_by_aicc,
 )
+from wavelogit.wavelet import make_basis
 
 
 def shared_grid(estimator, qs):
@@ -47,7 +48,7 @@ def planted_data(rng, n, d=16, j0=2, coords=(6, 11), effects=(1.4, -1.1)):
     y = (rng.random(n) < link_logistic(theta @ w + 0.1)).astype(float)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
-    return LabeledCoefficients(theta=theta, labels=y, j0=j0)
+    return LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", j0, d))
 
 
 class TestMakeFolds:
@@ -131,8 +132,8 @@ class TestCrossValidate:
         rng = np.random.default_rng(2)
         data = planted_data(rng, 60)
         theta = data.theta.copy()
-        theta[:, : data.n_scale] = 1.0  # no usable scale signal
-        data = LabeledCoefficients(theta=theta, labels=data.labels, j0=data.j0)
+        theta[:, : data.basis.n_scale] = 1.0  # no usable scale signal
+        data = LabeledCoefficients(theta=theta, labels=data.labels, basis=data.basis)
         folds = make_folds(data.labels, 5, seed=0)
         huge = 10.0 * lambda_max(data)
         grid = [FitConfig(estimator="wnet", lam=huge), FitConfig(estimator="wnet", lam=0.3)]
@@ -180,7 +181,7 @@ class TestCrossValidate:
         test_idx = folds.split(victim_fold)[1]
         poisoned_labels[test_idx] = 1.0 - poisoned_labels[test_idx]
         poisoned = LabeledCoefficients(
-            theta=data.theta, labels=poisoned_labels, j0=data.j0
+            theta=data.theta, labels=poisoned_labels, basis=data.basis
         )
         dirty = cross_validate(poisoned, grid, folds)
 
@@ -245,7 +246,7 @@ class TestCrossValidate:
             for fold in range(folds.k):
                 train, test = folds.split(fold)
                 train_data = LabeledCoefficients(
-                    theta=data.theta[train], labels=data.labels[train], j0=data.j0
+                    theta=data.theta[train], labels=data.labels[train], basis=data.basis
                 )
                 try:
                     sol = fit_estimator(train_data, config)

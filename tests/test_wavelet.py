@@ -64,6 +64,12 @@ class TestBasisValidation:
         with pytest.raises(DataError):
             make_basis("haar", j0=4, d=8)
 
+    @pytest.mark.parametrize("j0", [1.5, "1", True])
+    def test_j0_must_be_an_integer(self, j0):
+        """1.5 used to fail with a bare TypeError from the shift 1 << j0."""
+        with pytest.raises(DataError, match="j0 must be an integer"):
+            WaveletBasis(family="db4", j0=j0, d=8)
+
     def test_negative_j0_rejected(self):
         with pytest.raises(DataError):
             make_basis("haar", j0=-1, d=8)
