@@ -3,6 +3,11 @@
 All numeric output is written with 17 significant digits so that every file
 the package emits re-ingests bit-exactly. Writes go to a temporary file in
 the destination directory followed by an atomic rename.
+
+A curve CSV has one format, written and parsed a row at a time: one
+``%.17g`` template formats a row, and one ``map(float)`` parses it. Only a
+row that parse refuses takes a second, per-cell parse, whose one job is to
+name the line and the first bad cell.
 """
 
 from __future__ import annotations
@@ -63,7 +68,11 @@ class CurveDataset:
 
 def to_coefficients(dataset: CurveDataset, basis: WaveletBasis) -> LabeledCoefficients:
     """Wavelet-transform every curve; the fitting modules work on the result."""
-    return LabeledCoefficients(dwt_forward(dataset.curves, basis), dataset.labels, basis)
+    # finite curves can overflow the transform; LabeledCoefficients refuses
+    # the result with a DataError, so numpy's warnings would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = dwt_forward(dataset.curves, basis)
+    return LabeledCoefficients(theta, dataset.labels, basis)
 
 
 def _fmt(x: float) -> str:
@@ -106,9 +115,13 @@ def check_writable(path: str):
 
 def _dataset_lines(dataset: CurveDataset, rows):
     yield "label," + ",".join(f"t{j}" for j in range(1, dataset.d + 1))
+    # "%.17g" % x and _fmt(x) call the same CPython routine: the same bytes
+    row_format = "%d" + ",%.17g" * dataset.d
     for part in rows:
         for label, row in zip(dataset.labels[part], dataset.curves[part]):
-            yield f"{int(label)}," + ",".join(_fmt(v) for v in row)
+            # one row at a time: a whole slice's .tolist() holds every value
+            # of it as a Python float
+            yield row_format % (int(label), *row.tolist())
 
 
 def save_dataset(dataset: CurveDataset, path: str, rows=(slice(None),)):
@@ -153,6 +166,16 @@ def _parse_row(path, line_no, raw, d):
     cells = raw.split(",")
     if len(cells) != d + 1:
         raise ParseError(path, line_no, f"expected {d + 1} values, found {len(cells)}")
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        pass
+    else:
+        # a finite sum has finite terms; a finite row whose sum overflows
+        # is accepted below
+        if math.isfinite(sum(values)) and values[0] in (0.0, 1.0):
+            return values[0], values[1:]
+    # the same float() per cell, in order, to name the first bad one
     label = _parse_cell(path, line_no, cells[0], "label")
     if label not in (0.0, 1.0):
         raise ParseError(path, line_no, f"label must be 0 or 1, got {cells[0]!r}")

@@ -187,6 +187,11 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
             if nll <= bound + 1e-12:
                 return cand, eta, nll + lam * np.sum(np.abs(cand[free:]))
             lipschitz *= 2.0
+            if not np.isfinite(lipschitz):
+                raise NumericalError(
+                    "wnet backtracking found no step: the likelihood or its "
+                    "gradient is not finite at these coefficients"
+                )
 
     # warm start at the null fit that defines lambda_max, so any lam at or
     # above it keeps the detail block exactly zero from step one

@@ -236,6 +236,38 @@ class TestExitCodes:
             assert child.returncode == 2, child.stderr
             assert "finite" in child.stderr
 
+    def test_gradient_that_overflows_is_3(self, tmp_path):
+        """Finite curves with effects of 1e308 overflow the wnet gradient;
+        the backtracking loop once doubled an infinite step bound forever,
+        so the commands run in a child process under a time limit."""
+        train = str(tmp_path / "big.csv")
+        assert main(["simulate", "--out", train, "--n-per-class", "20", "--d", "32",
+                     "--j0", "2", "--support", "10", "--effects", "1e308", "--seed", "0"]) == 0
+        for flags in (["fit", "--lambda", "0.5"], ["cv", "--lambda-grid", "0.5,1"]):
+            child = subprocess.run(
+                [sys.executable, "-m", "wavelogit", *flags, "--data", train,
+                 "--method", "wnet", "--j0", "2", "--out", str(tmp_path / "m.json")],
+                env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+            )
+            assert child.returncode == 3, child.stderr
+            assert "wavelogit: numerical error:" in child.stderr
+        assert not os.path.exists(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_curve_that_overflows_the_transform_prints_one_line(self, tmp_path, capsys, command):
+        """A row of thirty-two 1e308 overflows the transform: numpy's
+        warnings printed before the error; now the error is the only line."""
+        data = tmp_path / "d.csv"
+        rows = [f"{i % 2}," + ",".join(["1e308" if i == 0 else "0.5"] * 32) for i in range(6)]
+        data.write_text("\n".join(["label," + ",".join(f"t{j}" for j in range(1, 33)), *rows]))
+        method = ["--method", "wnet"] + (["--lambda", "0.5"] if command == "fit" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--data", str(data), *method, "--j0", "2",
+                         "--out", str(tmp_path / "m.json")])
+        assert (code, capsys.readouterr().err) == (
+            2, "wavelogit: error: coefficients must be finite\n")
+
     @pytest.mark.parametrize("n_lambda", ["0", "-1"])
     def test_empty_lambda_grid_is_2(self, tmp_path, capsys, n_lambda):
         train, _ = simulate(tmp_path)

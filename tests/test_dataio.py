@@ -232,6 +232,18 @@ class TestDatasetCsv:
             tracemalloc.stop()
         assert peak <= back.curves.nbytes + 2**20, peak - back.curves.nbytes
 
+    def test_writer_holds_one_row(self, tmp_path):
+        """The writer converts one row at a time to Python floats; a slice's
+        or a block's .tolist() would hold 2 to 12.5 MiB of them here."""
+        dataset = tiny_dataset(n=400, d=1024)
+        tracemalloc.start()
+        try:
+            save_dataset(dataset, str(tmp_path / "big.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
+
     def test_rows_gained_after_the_count_are_not_read(self, tmp_path):
         path = tmp_path / "data.csv"
         save_dataset(tiny_dataset(n=6), str(path))

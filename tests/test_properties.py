@@ -1,16 +1,17 @@
 """Property tests: transform, AUC, soft-threshold, sparse reductions, line
-reading, model files and malformed input.
+reading, curve CSV rows, model files and malformed input.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so the suite stays deterministic.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wavelogit import dataio
@@ -21,7 +22,7 @@ from wavelogit.dataio import (
     save_model,
     to_coefficients,
 )
-from wavelogit.exceptions import DataError, NumericalError
+from wavelogit.exceptions import DataError, NumericalError, ParseError
 from wavelogit.metrics import auc
 from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import ESTIMATORS, FitConfig, build_reduction, fit_estimator
@@ -282,6 +283,88 @@ class TestLineRead:
             path.write_bytes(text.encode())
             with open(path, encoding="utf-8") as fh:
                 assert list(dataio._text_lines(fh)) == text.splitlines(), repr(boundary)
+
+
+# curve CSV rows --------------------------------------------------------------
+
+# signed zero, the smallest subnormal, both sides of the normal range, where
+# 17 digits first show an integer's rounding, and the largest double
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-320, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-300, 0.1, -0.1, 1e16, 1e22, 9.999999999999999e22, 1e300, 1.7976931348623157e308,
+]
+curve_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+# cells float() refuses, accepts as non-finite, or accepts though a stricter
+# parser would not; two 1e308 cells overflow a row's sum
+odd_cells = ["nan", "inf", "-inf", "1e309", "abc", "", " 1.5", "1_0", "0x10", "1e308", "-0"]
+
+
+def per_cell_line(label, row):
+    """A curve CSV row as one format() call per cell writes it."""
+    return f"{int(label)}," + ",".join(format(float(v), ".17g") for v in row)
+
+
+def per_cell_parse(path, line_no, raw, d):
+    """A curve CSV row as one float() call per cell parses it, label first."""
+    cells = raw.split(",")
+    if len(cells) != d + 1:
+        raise ParseError(path, line_no, f"expected {d + 1} values, found {len(cells)}")
+    values = []
+    for what, text in [("label", cells[0])] + [("value", c) for c in cells[1:]]:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(path, line_no, f"{what} {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ParseError(path, line_no, f"{what} {text!r} is not finite")
+        if what == "label" and value not in (0.0, 1.0):
+            raise ParseError(path, line_no, f"label must be 0 or 1, got {text!r}")
+        values.append(value)
+    return values[0], values[1:]
+
+
+class TestCsvRows:
+    @fixed(300)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_writer_equals_per_cell_format(self, log_d, n, data):
+        d = 2**log_d
+        values = data.draw(st.lists(curve_values, min_size=n * d, max_size=n * d))
+        labels = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n))
+        dataset = CurveDataset(np.array(values).reshape(n, d), labels)
+        lines = list(dataio._dataset_lines(dataset, (slice(None),)))
+        assert lines[1:] == [per_cell_line(a, row) for a, row in zip(labels, dataset.curves)]
+
+    def test_writer_edge_values(self):
+        row = EDGE_VALUES + [-1e22]  # 16 values
+        dataset = CurveDataset(np.array([row]), [1.0])
+        line = list(dataio._dataset_lines(dataset, (slice(None),)))[1]
+        assert line == per_cell_line(1.0, row)
+        assert [float(c).hex() for c in line.split(",")[1:]] == [v.hex() for v in row]
+
+    @fixed(500)
+    @given(
+        st.sampled_from(["0", "1", "-0", "1.0", "2"]),
+        st.lists(st.sampled_from(odd_cells) | curve_values.map(repr), min_size=1, max_size=8),
+        st.sampled_from([0, 0, 0, -1, 1]),
+    )
+    @example("1", ["1e308", "1e308"], 0)
+    @example("0", ["-1e308", "1e308", "-1e308", "-1e308"], 0)
+    @example("2", ["1e308", "1e308", "abc"], 0)
+    @example("-0", ["1e308", "1e308", "nan"], 0)
+    def test_reader_equals_per_cell_parse(self, label, cells, width_error):
+        """The same values, bit for bit, or the same ParseError: line and
+        message, found in the same order."""
+        raw = ",".join([label, *cells])
+        d = len(cells) + width_error
+        try:
+            expected = per_cell_parse("f.csv", 7, raw, d)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                dataio._parse_row("f.csv", 7, raw, d)
+            assert (info.value.line, str(info.value)) == (exc.line, str(exc))
+            return
+        got = dataio._parse_row("f.csv", 7, raw, d)
+        assert [v.hex() for v in [got[0], *got[1]]] == [v.hex() for v in [expected[0], *expected[1]]]
 
 
 class TestMalformedFiles:
