@@ -30,7 +30,7 @@ from .metrics import auc, discrimination_verdict
 from .model import model_from_fit
 from .penalized import _TAXONOMY, ESTIMATORS, FitConfig, build_reduction, fit_estimator
 from .select import (
-    _shared_reductions,
+    _reductions,
     cross_validate,
     default_lambda_grid,
     default_q_grid,
@@ -205,22 +205,20 @@ def _build_grid(args, data) -> list:
     else:
         q_grid = (None,) if kind is None else default_q_grid(data.n, data.d)
 
-    dense = None
     if args.tau_grid is None and not penalized:
-        # one tau = 0 reduction at the largest q that builds; its first q
-        # columns equal a fresh fit at q.  A q < 1 is left to fail in grid order.
-        configs = [FitConfig(args.method, q=q) for q in q_grid if q >= 1]
-        dense = _shared_reductions(data, configs).get((args.method, 0.0))
+        # one tau = 0 reduction at the largest q that builds serves every q.
+        # A q < 1 is left to fail in grid order.
+        shared = _reductions(data, [FitConfig(args.method, q=q) for q in q_grid if q >= 1])
 
     def taus(q):
         if args.tau_grid is not None:
             return _comma_list(args.tau_grid, float, "--tau-grid")
         if penalized:
             return (0.0,)
-        if dense is not None and 1 <= q <= dense.shape[1]:
-            return default_tau_grid(dense[:, :q])
+        config = FitConfig(args.method, q=q)
         # a q the shared reduction cannot serve fails as it would alone
-        return default_tau_grid(build_reduction(data, FitConfig(args.method, q=q)))
+        loadings = shared(config)
+        return default_tau_grid(build_reduction(data, config) if loadings is None else loadings)
 
     points = ((q, tau, lam) for q in q_grid for tau in taus(q) for lam in lam_grid)
     return [FitConfig(args.method, lam=lam, q=q, tau=tau) for q, tau, lam in points]

@@ -1,13 +1,15 @@
 """CSV curve data, model persistence, and discriminant-function export.
 
-All numeric output is written with 17 significant digits so that every file
-the package emits re-ingests bit-exactly. Writes go to a temporary file in
-the destination directory followed by an atomic rename.
+Every real the package writes, in curve, model, beta and probability
+files alike, goes through one format, ``_REAL`` (``%.17g``): 17 significant
+digits, so every file the package emits re-ingests bit-exactly. Writes go
+to a temporary file in the destination directory followed by an atomic
+rename.
 
-A curve CSV has one format, written and parsed a row at a time: one
-``%.17g`` template formats a row, and one ``map(float)`` parses it. Only a
-row that parse refuses takes a second, per-cell parse, whose one job is to
-name the line and the first bad cell.
+A curve CSV is written and parsed a row at a time: one template of
+``_REAL`` cells formats a row, and one ``map(float)`` parses it. Only a row
+that parse refuses takes a second, per-cell parse, whose one job is to name
+the line and the first bad cell.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .wavelet import WaveletBasis, _block_bounds, _is_power_of_two, dwt_forward
 # version 1 files also hold a reduced fit's "center" and "loadings"; loading
 # still reads them and ignores those two keys
 MODEL_FORMAT_VERSION = 2
+
+# the one format of every real written: "%.17g" % x runs the same CPython
+# routine as format(float(x), ".17g") and parses back to the same double
+_REAL = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -75,11 +81,6 @@ def to_coefficients(dataset: CurveDataset, basis: WaveletBasis) -> LabeledCoeffi
     return LabeledCoefficients(theta, dataset.labels, basis)
 
 
-def _fmt(x: float) -> str:
-    """Decimal form with 17 significant digits; parses back to the same double."""
-    return format(float(x), ".17g")
-
-
 def _refuse_special(path: str):
     """The rename would replace a FIFO, device or socket at ``path``: refuse it."""
     if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
@@ -115,8 +116,7 @@ def check_writable(path: str):
 
 def _dataset_lines(dataset: CurveDataset, rows):
     yield "label," + ",".join(f"t{j}" for j in range(1, dataset.d + 1))
-    # "%.17g" % x and _fmt(x) call the same CPython routine: the same bytes
-    row_format = "%d" + ",%.17g" * dataset.d
+    row_format = "%d" + f",{_REAL}" * dataset.d
     for part in rows:
         for label, row in zip(dataset.labels[part], dataset.curves[part]):
             # one row at a time: a whole slice's .tolist() holds every value
@@ -241,10 +241,6 @@ def load_dataset(path: str) -> CurveDataset:
     return CurveDataset(curves=curves, labels=labels)
 
 
-def _floats_out(values) -> list:
-    return [_fmt(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
 def _floats_in(values, shape, field):
     try:
         arr = np.array([float(v) for v in values], dtype=float).reshape(shape)
@@ -266,12 +262,12 @@ def save_model(model: FittedModel, path: str):
         "family": model.basis.family,
         "j0": model.basis.j0,
         "d": model.basis.d,
-        "lambda": _fmt(model.config.lam),
+        "lambda": _REAL % model.config.lam,
         "q": model.config.q,
-        "tau": _fmt(model.config.tau),
-        "intercept": _fmt(model.intercept),
-        "omega": _floats_out(model.omega),
-        "kkt_residual": _fmt(model.kkt_residual),
+        "tau": _REAL % model.config.tau,
+        "intercept": _REAL % model.intercept,
+        "omega": [_REAL % v for v in model.omega.tolist()],
+        "kkt_residual": _REAL % model.kkt_residual,
         "iterations": model.iterations,
     }
     _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True)])
@@ -332,11 +328,12 @@ def time_grid(d: int) -> np.ndarray:
 
 def export_beta(model: FittedModel, path: str):
     """Write `t,beta` CSV sampling the fitted discriminant function."""
-    beta = model.beta()
-    grid = time_grid(model.basis.d)
-    _atomic_write(path, ["t,beta"] + [f"{_fmt(t)},{_fmt(b)}" for t, b in zip(grid, beta)])
+    row = f"{_REAL},{_REAL}"
+    pairs = zip(time_grid(model.basis.d).tolist(), model.beta().tolist())
+    _atomic_write(path, ["t,beta"] + [row % pair for pair in pairs])
 
 
 def save_probabilities(probs, path: str):
     """Write a one-column `prob` CSV of class-1 probabilities."""
-    _atomic_write(path, ["prob"] + _floats_out(probs))
+    probs = np.asarray(probs, dtype=float).ravel().tolist()
+    _atomic_write(path, ["prob"] + [_REAL % p for p in probs])

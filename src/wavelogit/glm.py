@@ -19,6 +19,7 @@ from .exceptions import (
     ConvergenceError,
     DataError,
     DimensionError,
+    NumericalError,
     SeparationError,
     SingularityError,
 )
@@ -54,6 +55,13 @@ class LabeledCoefficients:
             raise DataError("coefficients must be finite")
         if not np.all((labels == 0.0) | (labels == 1.0)):
             raise DataError("labels must contain only 0 and 1")
+        # finite coefficients this large overflow every fitter's products
+        # (norms, Gram matrices, the SVD), so no fit starts on them
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.vdot(theta, theta)):
+                raise NumericalError(
+                    "coefficients are too large to fit: their sum of squares overflows"
+                )
 
     @property
     def n(self) -> int:

@@ -1,8 +1,9 @@
 """Tuning-parameter selection: stratified k-fold CV and corrected AIC.
 
 Both criteria run one grid loop, :func:`_score_grid`, which fits every
-config on one data set and slices one shared reduction per (estimator,
-threshold) pair.  Cross-validation calls it once per fold, on that fold's
+config on one data set with the loadings :func:`_reductions` slices from one
+shared reduction per (estimator, threshold) pair, as the CLI's default
+threshold grid does.  Cross-validation calls it once per fold, on that fold's
 training set, so the reduction is refit inside every fold and no held-out
 information leaks into the fit; it scores each grid point by mean
 held-out AUC.  The corrected-AIC path calls it once on the full data and
@@ -67,8 +68,12 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
     """Deterministic stratified fold assignment.
 
     Each member is dealt to the fold with the fewest members of its class,
-    breaking ties by smallest fold, then smallest index.  This keeps both
-    per-class counts and total fold sizes within one of each other.
+    breaking ties by fewest members overall, then smallest fold, which
+    keeps both per-class counts and total fold sizes within one of each
+    other.  With each class in a seeded random order, that is a round-robin
+    continuing where the class before stopped: class 0's i-th member goes
+    to fold i mod k, class 1's j-th to fold (m0 + j) mod k, where m0 is the
+    class-0 count.
     """
     labels = np.asarray(labels, dtype=float)
     if _as_int(k, "k") < 2:
@@ -79,19 +84,15 @@ def make_folds(labels, k: int, seed: int) -> FoldPlan:
         raise DataError("labels must contain only 0 and 1")
     rng = np.random.default_rng(seed)
     assignments = np.empty(labels.size, dtype=int)
-    sizes = np.zeros(k, dtype=int)
+    dealt = 0
     for value in (0.0, 1.0):
         members = np.nonzero(labels == value)[0]
         if members.size < k:
             raise DataError(
                 f"class {int(value)} has {members.size} member(s), fewer than k={k} folds"
             )
-        counts = np.zeros(k, dtype=int)
-        for idx in rng.permutation(members):
-            fold = int(np.lexsort((np.arange(k), sizes, counts))[0])
-            assignments[idx] = fold
-            counts[fold] += 1
-            sizes[fold] += 1
+        assignments[rng.permutation(members)] = (dealt + np.arange(members.size)) % k
+        dealt += members.size
     return FoldPlan(assignments=assignments)
 
 
@@ -189,48 +190,50 @@ def aicc(solution: PenalizedSolution, data: LabeledCoefficients) -> float:
     return 2.0 * nll + 2.0 * k_eff + 2.0 * k_eff * (k_eff + 1) / (n - k_eff - 1)
 
 
-def _shared_reductions(data: LabeledCoefficients, grid) -> dict:
-    """One reduction per (estimator, tau) pair in the grid, keyed by it.
+def _reductions(data: LabeledCoefficients, configs):
+    """A lookup from each of ``configs`` to the loadings it can slice.
 
-    Each is built at the largest q of its configs that builds, so every
-    config with a smaller or equal q slices it instead of refitting; a
-    config with a larger q builds its own and fails as it would alone.
-    Estimators without a reduction map to None.
+    One reduction is built per (estimator, tau) pair, at the largest q of
+    its configs that builds.  The lookup gives a config the first q columns
+    of its pair's reduction, which equal a fresh fit at q, or None where
+    there is nothing to slice; a config given None builds its own reduction
+    and fails as it would alone.
     """
     shared = {}
     # a reduction does not depend on lambda, so each (estimator, tau, q) is tried once
-    configs = dict.fromkeys(replace(config, lam=0.0) for config in grid)
-    for config in sorted(configs, key=lambda c: c.q or 0, reverse=True):
+    tried = dict.fromkeys(replace(config, lam=0.0) for config in configs)
+    for config in sorted(tried, key=lambda c: c.q or 0, reverse=True):
         key = (config.estimator, config.tau)
         if key not in shared:
             try:
                 shared[key] = build_reduction(data, config)
             except (DataError, NumericalError):
                 pass
-    return shared
+
+    def loadings(config: FitConfig):
+        dense = shared.get((config.estimator, config.tau))
+        if dense is None or config.q > dense.shape[1]:
+            return None
+        # a contiguous copy keeps the matrix products' bits those of a fresh fit
+        return np.ascontiguousarray(dense[:, : config.q])
+
+    return loadings
 
 
 def _score_grid(data: LabeledCoefficients, grid, criterion, values, messages) -> None:
     """Fit on ``data`` every config that has no message yet; store
     ``criterion(solution)`` in ``values``.
 
-    Reduced configs slice one shared reduction (see
-    :func:`_shared_reductions`).  A failed config gets a message and NaN,
-    or +inf when the criterion is undefined, and later calls skip it.
+    Each config gets the loadings :func:`_reductions` looks up for it.  A
+    failed config gets a message and NaN, or +inf when the criterion is
+    undefined, and later calls skip it.
     """
     pending = [i for i, message in enumerate(messages) if message is None]
-    shared = _shared_reductions(data, [grid[i] for i in pending])
+    loadings = _reductions(data, [grid[i] for i in pending])
     for index in pending:
         config = grid[index]
-        loadings = shared.get((config.estimator, config.tau))
-        if loadings is not None and config.q <= loadings.shape[1]:
-            # the first q columns equal a fresh fit at q; a contiguous copy
-            # keeps the matrix products' bits those of the fresh fit too
-            loadings = np.ascontiguousarray(loadings[:, : config.q])
-        else:
-            loadings = None
         try:
-            values[index] = criterion(fit_estimator(data, config, loadings=loadings))
+            values[index] = criterion(fit_estimator(data, config, loadings=loadings(config)))
         except CriterionUndefinedError as exc:
             values[index] = np.inf
             messages[index] = f"{type(exc).__name__}: {exc}"

@@ -187,7 +187,9 @@ class WaveletBasis:
             raise DataError(f"signal length d={self.d} is not a power of two >= 2")
         if self.j0 < 0:
             raise DataError(f"coarsest scale j0={self.j0} must be >= 0")
-        if (1 << self.j0) >= self.d:
+        # d is a power of two, so 2**j0 >= d reads j0 >= log2(d) without
+        # building a j0-bit integer
+        if self.j0 >= self.d.bit_length() - 1:
             raise DataError(
                 f"coarsest scale j0={self.j0} leaves no detail levels for d={self.d}"
             )

@@ -1,7 +1,8 @@
 """Reference quantities the tests check the package against.
 
 None is part of the package: the package never needs the explicit
-transform matrix, the PCA eigenvalues or whole-matrix draws of the curves.
+transform matrix, the PCA eigenvalues, whole-matrix draws of the curves or
+a per-member search for each observation's fold.
 """
 
 import numpy as np
@@ -37,3 +38,22 @@ def generate_curves(spec: SynthSpec) -> np.ndarray:
     noise *= spec.noise_sd
     curves += noise
     return curves
+
+
+def deal_folds(labels, k: int, seed: int) -> np.ndarray:
+    """Fold of each observation as a per-member search deals it: class 0's
+    members, then class 1's, each in the order of one seeded permutation,
+    go to the fold with the fewest members of their class, then the fewest
+    members overall, then the smallest index."""
+    labels = np.asarray(labels, dtype=float)
+    rng = np.random.default_rng(seed)
+    assignments = np.empty(labels.size, dtype=int)
+    sizes = np.zeros(k, dtype=int)
+    for value in (0.0, 1.0):
+        counts = np.zeros(k, dtype=int)
+        for idx in rng.permutation(np.nonzero(labels == value)[0]):
+            fold = int(np.lexsort((np.arange(k), sizes, counts))[0])
+            assignments[idx] = fold
+            counts[fold] += 1
+            sizes[fold] += 1
+    return assignments

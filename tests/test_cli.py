@@ -156,6 +156,15 @@ class TestWorkflow:
         assert written == digests
 
 
+@pytest.fixture(scope="module")
+def overflow_set(tmp_path_factory):
+    """Finite curves (effects of 1e308) whose coefficients' squares overflow."""
+    data = str(tmp_path_factory.mktemp("overflow") / "big.csv")
+    assert main(["simulate", "--out", data, "--n-per-class", "20", "--d", "32", "--j0", "2",
+                 "--support", "10", "--effects", "1e308", "--seed", "0"]) == 0
+    return data
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         with pytest.raises(SystemExit) as info:
@@ -252,6 +261,54 @@ class TestExitCodes:
             assert child.returncode == 3, child.stderr
             assert "wavelogit: numerical error:" in child.stderr
         assert not os.path.exists(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--method", "wnet", "--lambda", "0.5"],
+            ["fit", "--method", "wcr", "--q", "2"],
+            ["fit", "--method", "wls", "--q", "2"],
+            ["fit", "--method", "wpcr", "--q", "2", "--lambda", "0.5"],
+            ["fit", "--method", "wpls", "--q", "2", "--lambda", "0.5"],
+            *(["cv", "--method", method] for method in penalized.ESTIMATORS),
+            ["cv", "--method", "wpcr", "--select", "aicc"],
+            ["cv", "--method", "wpls", "--select", "aicc"],
+        ],
+        ids=" ".join,
+    )
+    def test_coefficients_too_large_to_fit_are_3(self, tmp_path, capfd, overflow_set, argv):
+        """The SVD failed with a traceback (exit 1), the tau grid was NaN
+        (exit 2), and the other fits warned before exiting 3."""
+        out = tmp_path / "m.json"
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--data", overflow_set, "--j0", "2", "--out", str(out)])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("wavelogit: numerical error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_j0_is_2(self, tmp_path, capsys):
+        """A j0 of 2**62 once built a 2**62-bit integer to check it: a
+        MemoryError traceback and exit 1, from the flag or a model file."""
+        j0 = 2**62
+        message = f"coarsest scale j0={j0} leaves no detail levels for d="
+        assert main(["simulate", "--out", str(tmp_path / "x.csv"), "--j0", str(j0)]) == 2
+        assert message + "256" in capsys.readouterr().err
+        train, test = simulate(tmp_path)
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--data", train, "--method", "wnet", "--lambda", "1.0",
+                     "--j0", "2", "--out", model_path]) == 0
+        doc = json.loads(Path(model_path).read_text())
+        doc["j0"] = j0
+        Path(model_path).write_text(json.dumps(doc))
+        capsys.readouterr()
+        probs = tmp_path / "p.csv"
+        assert main(["predict", "--model", model_path, "--data", test,
+                     "--out", str(probs)]) == 2
+        assert message + "64" in capsys.readouterr().err
+        assert not probs.exists()
 
     @pytest.mark.parametrize("command", ["fit", "cv"])
     def test_curve_that_overflows_the_transform_prints_one_line(self, tmp_path, capsys, command):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from wavelogit.exceptions import ConvergenceError, DataError, DimensionError, SingularityError
+from wavelogit.exceptions import (
+    ConvergenceError,
+    DataError,
+    DimensionError,
+    NumericalError,
+    SingularityError,
+)
 from wavelogit.glm import (
     LabeledCoefficients,
     _newton,
@@ -71,6 +77,14 @@ class TestLabeledCoefficients:
         theta[2, 5] = bad
         with pytest.raises(DataError, match="finite"):
             labeled(theta, np.array([0.0, 1.0] * 2), j0=1)
+
+    def test_rejects_coefficients_whose_squares_overflow(self):
+        """Finite coefficients of 1e155 overflow every fitter's products;
+        the sum of squares of 1e150 does not, so those are kept."""
+        labels = np.array([0.0, 1.0] * 2)
+        with pytest.raises(NumericalError, match="sum of squares overflows"):
+            labeled(np.full((4, 8), -1e155), labels)
+        assert labeled(np.full((4, 8), 1e150), labels).n == 4
 
     def test_single_class_blocks_fitting(self):
         data = labeled(np.eye(4), np.ones(4))

@@ -1,5 +1,6 @@
 """Property tests: transform, AUC, soft-threshold, sparse reductions, line
-reading, curve CSV rows, model files and malformed input.
+reading, curve CSV rows, the reals of every written file, CV folds, model
+files and malformed input.
 
 Every test runs a fixed, derandomized set of examples with no example
 database, so the suite stays deterministic.
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 from wavelogit import dataio
 from wavelogit.dataio import (
     CurveDataset,
+    export_beta,
     load_dataset,
     load_model,
     save_model,
+    save_probabilities,
+    time_grid,
     to_coefficients,
 )
 from wavelogit.exceptions import DataError, NumericalError, ParseError
@@ -27,7 +31,10 @@ from wavelogit.metrics import auc
 from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import ESTIMATORS, FitConfig, build_reduction, fit_estimator
 from wavelogit.reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, sparse_component_fit
+from wavelogit.select import make_folds
 from wavelogit.wavelet import FILTERS, dwt_forward, dwt_inverse, make_basis
+
+from oracles import deal_folds
 
 DATA_DIR = Path(__file__).parent / "data"
 # every one-character boundary str.splitlines splits on ("\r\n" is the other)
@@ -365,6 +372,71 @@ class TestCsvRows:
             return
         got = dataio._parse_row("f.csv", 7, raw, d)
         assert [v.hex() for v in [got[0], *got[1]]] == [v.hex() for v in [expected[0], *expected[1]]]
+
+
+def per_value(x) -> str:
+    """A real as one format() call writes it."""
+    return format(float(x), ".17g")
+
+
+class TestRealFields:
+    """Model, beta and probability files write each real as one format()
+    call per value would, byte for byte."""
+
+    # signed zero, the smallest subnormal, a short decimal, where 17 digits
+    # first show an integer's rounding, and the largest double
+    REALS = [-0.0, 5e-324, 0.1, 1e16, 1e22, 1.7976931348623157e308]
+
+    def model(self, omega):
+        return FittedModel(
+            config=FitConfig(estimator="wcr", q=2, tau=np.float32(0.1)),
+            basis=make_basis("db4", 2, 16),
+            intercept=1e22,
+            omega=omega,
+            kkt_residual=5e-324,
+            iterations=3,
+        )
+
+    def test_model_file(self, tmp_path):
+        omega = np.array(self.REALS + EDGE_VALUES[:10])
+        path = tmp_path / "m.json"
+        save_model(self.model(omega), str(path))
+        doc = {
+            "d": 16, "estimator": "wcr", "family": "db4", "format_version": 2,
+            "intercept": per_value(1e22), "iterations": 3, "j0": 2,
+            "kkt_residual": per_value(5e-324), "lambda": per_value(0.0),
+            "omega": [per_value(v) for v in omega], "q": 2,
+            "tau": per_value(np.float32(0.1)),
+        }
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert doc["tau"] == "0.10000000149011612"
+
+    def test_beta_file(self, tmp_path):
+        # small enough that the inverse transform stays finite
+        omega = np.array(self.REALS[:-1] + EDGE_VALUES[:11])
+        model = self.model(omega)
+        path = tmp_path / "beta.csv"
+        export_beta(model, str(path))
+        rows = [f"{per_value(t)},{per_value(b)}" for t, b in zip(time_grid(16), model.beta())]
+        assert path.read_text() == "\n".join(["t,beta", *rows]) + "\n"
+
+    def test_probability_file(self, tmp_path):
+        probs = np.array(self.REALS + [np.float32(0.1)])
+        path = tmp_path / "p.csv"
+        save_probabilities(probs, str(path))
+        assert path.read_text() == "\n".join(["prob", *map(per_value, probs)]) + "\n"
+
+
+class TestFoldDealing:
+    @fixed(300)
+    @given(st.integers(2, 11), st.data())
+    def test_formula_equals_per_member_search(self, k, data):
+        sizes = data.draw(st.tuples(st.integers(k, 60), st.integers(k, 60)))
+        labels = data.draw(st.permutations([0.0] * sizes[0] + [1.0] * sizes[1]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        np.testing.assert_array_equal(
+            make_folds(labels, k, seed).assignments, deal_folds(labels, k, seed)
+        )
 
 
 class TestMalformedFiles:

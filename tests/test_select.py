@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavelogit import penalized
 from wavelogit.exceptions import (
     CriterionUndefinedError,
     DataError,
@@ -395,6 +396,36 @@ class TestSelectByAicc:
         data = planted_data(rng, 6, d=16)
         with pytest.raises(SelectionError):
             select_by_aicc(data, [FitConfig(estimator="wnet", lam=1e-6)])
+
+
+class TestOneReductionPerDataSet:
+    """A wpcr grid over q in {1, 2, 4, 8, 16} and three penalties builds one
+    reduction, at q = 16, per data set it is fit on; every config slices it."""
+
+    GRID = [FitConfig(estimator="wpcr", lam=lam, q=q)
+            for q in (1, 2, 4, 8, 16) for lam in (0.01, 0.1, 1.0)]
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        fits = []
+        real_fit = penalized.sparse_component_fit
+
+        def counting_fit(theta, labels, q, sparsity, kind):
+            fits.append((theta.shape[0], q))
+            return real_fit(theta, labels, q, sparsity, kind)
+
+        monkeypatch.setattr(penalized, "sparse_component_fit", counting_fit)
+        return fits
+
+    def test_aicc_builds_one(self, fits):
+        data = planted_data(np.random.default_rng(30), 60, d=32)
+        select_by_aicc(data, self.GRID)
+        assert fits == [(60, 16)]
+
+    def test_cross_validation_builds_one_per_fold(self, fits):
+        data = planted_data(np.random.default_rng(30), 60, d=32)
+        cross_validate(data, self.GRID, make_folds(data.labels, 5, seed=0))
+        assert fits == [(48, 16)] * 5
 
 
 class TestDefaultGrids:

@@ -63,6 +63,9 @@ class TestBasisValidation:
             make_basis("haar", j0=3, d=8)
         with pytest.raises(DataError):
             make_basis("haar", j0=4, d=8)
+        # the check once built 1 << j0: a MemoryError at 2**62
+        with pytest.raises(DataError, match="leaves no detail levels for d=256"):
+            WaveletBasis("db4", 2**62, 256)
 
     @pytest.mark.parametrize("j0", [1.5, "1", True])
     def test_j0_must_be_an_integer(self, j0):
