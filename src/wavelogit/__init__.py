@@ -2,9 +2,9 @@
 
 Sampled curves are wavelet-transformed; a logistic model on the
 coefficients is fit with an l1 penalty on the detail block (wnet), with a
-PCA/PLS subspace constraint (wpcr/wpls), or on a sparse reduced design
-(wcr/wls). Tuning is by stratified cross-validation or corrected AIC, and
-discrimination is judged by ROC AUC.
+PCA/PLS subspace constraint (wpcr/wpls), or unpenalized on a PCA or
+(optionally sparse) PLS reduced design (wcr/wls). Tuning is by stratified
+cross-validation or corrected AIC, and discrimination is judged by ROC AUC.
 """
 
 from .dataio import (

@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=ESTIMATORS)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="penalty level")
     p.add_argument("--q", type=int, help="component count (reduced estimators)")
-    p.add_argument("--tau", type=float, default=0.0, help="loading threshold (wcr/wls)")
+    p.add_argument("--tau", type=float, default=0.0, help="PLS loading threshold (wls)")
     _add_wavelet_flags(p)
     p.add_argument("--out", required=True, help="model file to write")
 
@@ -195,17 +195,17 @@ def _cmd_fit(args) -> int:
 def _build_grid(args, data) -> list:
     # a parameter the method does not take gets the one value FitConfig
     # accepts for it, so a flag that sets it exits 2
-    kind, penalized = _TAXONOMY[args.method]
+    reduction, tuning = _TAXONOMY[args.method]
     if args.lambda_grid is not None:
         lam_grid = _comma_list(args.lambda_grid, float, "--lambda-grid")
     else:
-        lam_grid = tuple(default_lambda_grid(data, args.n_lambda)) if penalized else (0.0,)
+        lam_grid = tuple(default_lambda_grid(data, args.n_lambda)) if tuning == "lam" else (0.0,)
     if args.q_grid is not None:
         q_grid = _comma_list(args.q_grid, int, "--q-grid")
     else:
-        q_grid = (None,) if kind is None else default_q_grid(data.n, data.d)
+        q_grid = (None,) if reduction is None else default_q_grid(data.n, data.d)
 
-    if args.tau_grid is None and not penalized:
+    if args.tau_grid is None and tuning == "tau":
         # one tau = 0 reduction at the largest q that builds serves every q.
         # A q < 1 is left to fail in grid order.
         shared = _reductions(data, [FitConfig(args.method, q=q) for q in q_grid if q >= 1])
@@ -213,7 +213,7 @@ def _build_grid(args, data) -> list:
     def taus(q):
         if args.tau_grid is not None:
             return _comma_list(args.tau_grid, float, "--tau-grid")
-        if penalized:
+        if tuning != "tau":
             return (0.0,)
         config = FitConfig(args.method, q=q)
         # a q the shared reduction cannot serve fails as it would alone
@@ -234,12 +234,12 @@ def _cmd_cv(args) -> int:
         folds = make_folds(data.labels, args.folds, seed=args.seed)
         result = cross_validate(data, grid, folds)
     best = result.best_config
-    kind, penalized = _TAXONOMY[best.estimator]
+    reduction, tuning = _TAXONOMY[best.estimator]
     # only the parameters the estimator takes
     params = (
-        ([f"lambda={best.lam:.6g}"] if penalized else [])
-        + ([f"q={best.q}"] if kind is not None else [])
-        + ([f"tau={best.tau:.6g}"] if not penalized else [])
+        ([f"lambda={best.lam:.6g}"] if tuning == "lam" else [])
+        + ([f"q={best.q}"] if reduction is not None else [])
+        + ([f"tau={best.tau:.6g}"] if tuning == "tau" else [])
     )
     label = "AICc" if args.select == "aicc" else f"{args.folds}-fold CV AUC"
     failed = sum(message is not None for message in result.messages)

@@ -184,7 +184,7 @@ def _newton(aug, y, beta, max_iter: int, tol: float, quad=None, separation_bound
         if separation_bound is not None and np.max(np.abs(beta[1:])) > separation_bound:
             raise SeparationError(
                 "coefficients diverged, which indicates separable classes; "
-                "use fewer components (smaller q) or more sparsity (larger tau)"
+                "use fewer components (smaller q) or, for wls, a larger tau"
             )
 
 

@@ -10,7 +10,8 @@ restricted to a reduced subspace omega = V_q @ gamma.
   and one sum per backtrack.
 - wpcr / wpls: penalty plus subspace constraint, a generalized lasso in
   gamma, solved by residual-balanced, over-relaxed ADMM.
-- wcr / wls: subspace constraint from a sparse reduction, no penalty.
+- wcr / wls: subspace constraint only, no penalty; wls may soft-threshold
+  its PLS loadings at tau.
 
 Every smooth subproblem goes to the damped Newton routine of ``glm``: the
 wcr/wls fit, the ADMM gamma-update (likelihood plus the augmented-Lagrangian
@@ -35,15 +36,17 @@ from .glm import (
     _with_intercept,
     link_logistic,
 )
-from .reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, sparse_component_fit
+from .reduce import pca_fit, soft_threshold, sparse_component_fit
 
-# estimator -> (the reduction it fits in, or None; whether lam is its l1 penalty)
+# estimator -> (the reduction it fits in: None, "pca" or "pls"; its one
+# tuning parameter besides q: "lam", the l1 penalty, "tau", the PLS loading
+# threshold, or None)
 _TAXONOMY = {
-    "wnet": (None, True),
-    "wcr": (KIND_SPARSE_PCA, False),
-    "wls": (KIND_SPARSE_PLS, False),
-    "wpcr": (KIND_SPARSE_PCA, True),
-    "wpls": (KIND_SPARSE_PLS, True),
+    "wnet": (None, "lam"),
+    "wcr": ("pca", None),
+    "wls": ("pls", "tau"),
+    "wpcr": ("pca", "lam"),
+    "wpls": ("pls", "lam"),
 }
 ESTIMATORS = tuple(_TAXONOMY)
 
@@ -60,8 +63,9 @@ _RELAXATION = 1.6
 class FitConfig:
     """Estimator choice plus its tuning parameters and solver limits.
 
-    A reduced estimator takes ``q``, a penalized one ``lam`` and the others
-    ``tau``; a parameter the estimator does not take must keep its default.
+    A reduced estimator takes ``q``, and each estimator at most one of
+    ``lam`` and ``tau``, as ``_TAXONOMY`` records; a parameter the
+    estimator does not take must keep its default.
     ``tol`` (relative objective change) governs ``wnet`` only: the ADMM of
     ``wpcr``/``wpls`` stops on fixed primal and dual residual thresholds,
     and every Newton solve (``wcr``/``wls`` fits, ADMM gamma-updates, null
@@ -92,15 +96,17 @@ class FitConfig:
             raise DataError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
-        kind, penalized = _TAXONOMY[self.estimator]
-        if kind is None and self.q is not None:
+        reduction, tuning = _TAXONOMY[self.estimator]
+        if reduction is None and self.q is not None:
             raise DataError(f"estimator {self.estimator!r} takes no q, got q={self.q}")
-        if kind is not None and (self.q is None or self.q < 1):
+        if reduction is not None and (self.q is None or self.q < 1):
             raise DataError(f"estimator {self.estimator!r} needs a component count q >= 1")
-        if penalized and self.tau != 0:
-            raise DataError(f"estimator {self.estimator!r} takes no tau, got tau={self.tau}")
-        if not penalized and self.lam != 0:
-            raise DataError(f"estimator {self.estimator!r} takes no lambda, got lambda={self.lam}")
+        for name, label in (("tau", "tau"), ("lam", "lambda")):
+            value = getattr(self, name)
+            if name != tuning and value != 0:
+                raise DataError(
+                    f"estimator {self.estimator!r} takes no {label}, got {label}={value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -357,20 +363,22 @@ def fit_reduced_unpenalized(
 
 def build_reduction(data: LabeledCoefficients, config: FitConfig) -> np.ndarray | None:
     """The loadings an estimator needs, fit on the training data; None for wnet."""
-    kind = _TAXONOMY[config.estimator][0]
-    if kind is None:
+    reduction = _TAXONOMY[config.estimator][0]
+    if reduction is None:
         return None
-    return sparse_component_fit(data.theta, data.labels, config.q, config.tau, kind)
+    if reduction == "pca":
+        return pca_fit(data.theta, config.q)
+    return sparse_component_fit(data.theta, data.labels, config.q, config.tau)
 
 
 def fit_estimator(
     data: LabeledCoefficients, config: FitConfig, loadings: np.ndarray | None = None
 ) -> PenalizedSolution:
     """Dispatch a config to its solver, building the reduction if needed."""
-    kind, penalized = _TAXONOMY[config.estimator]
-    if kind is None:
+    reduction, tuning = _TAXONOMY[config.estimator]
+    if reduction is None:
         return fit_wnet(data, config)
     if loadings is None:
         loadings = build_reduction(data, config)
-    solver = fit_reduced_penalized if penalized else fit_reduced_unpenalized
+    solver = fit_reduced_penalized if tuning == "lam" else fit_reduced_unpenalized
     return solver(data, loadings, config)

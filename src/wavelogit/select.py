@@ -268,7 +268,7 @@ def default_q_grid(n: int, d: int):
 
 
 def default_tau_grid(loadings):
-    """{0, tau_med, 2*tau_med}, tau_med = median |entry| of ``loadings``, the
-    dense reduction (tau = 0) at the grid's q."""
+    """wls's tau grid {0, tau_med, 2*tau_med}, tau_med = median |entry| of
+    ``loadings``, the dense PLS reduction (tau = 0) at the grid's q."""
     tau_med = float(np.median(np.abs(loadings)))
     return (0.0, tau_med, 2.0 * tau_med)

@@ -31,14 +31,8 @@ from wavelogit.glm import (
 )
 from wavelogit.metrics import auc
 from wavelogit.model import model_from_fit
-from wavelogit.penalized import FitConfig, fit_estimator, fit_wnet, lambda_max
-from wavelogit.reduce import (
-    KIND_SPARSE_PCA,
-    KIND_SPARSE_PLS,
-    pca_fit,
-    pls_fit,
-    sparse_component_fit,
-)
+from wavelogit.penalized import FitConfig, build_reduction, fit_estimator, fit_wnet, lambda_max
+from wavelogit.reduce import pca_fit, pls_fit, sparse_component_fit
 from wavelogit.select import cross_validate, make_folds
 from wavelogit.simulate import (
     DEFAULT_SUPPORT,
@@ -306,8 +300,9 @@ def test_criterion_6_synthetic_analogue(planted_replicates):
 
 
 def test_criterion_7_reduction_sanity():
-    """PCA invariants on 200 matrices; tau=0 sparse == dense bit for bit; WPCR at q=d,
-    lambda=0 matches WNET lambda=0 NLL to 1e-6."""
+    """PCA invariants on 200 matrices; wcr and wpcr reduce by dense PCA and tau=0
+    sparse PLS == PLS, bit for bit; WPCR at q=d, lambda=0 matches WNET lambda=0 NLL
+    to 1e-6."""
     rng = np.random.default_rng(107)
     for _ in range(200):
         n = int(rng.integers(5, 40))
@@ -324,11 +319,12 @@ def test_criterion_7_reduction_sanity():
         rng = np.random.default_rng(300 + seed)
         theta = rng.standard_normal((30, 16))
         y = (np.arange(30) % 2).astype(float)
+        data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 2, 16))
         dense_pca = pca_fit(theta, 3)
-        sparse_pca = sparse_component_fit(theta, None, 3, 0.0, KIND_SPARSE_PCA)
-        np.testing.assert_array_equal(sparse_pca, dense_pca)
+        for config in (FitConfig("wcr", q=3), FitConfig("wpcr", lam=0.1, q=3)):
+            np.testing.assert_array_equal(build_reduction(data, config), dense_pca)
         dense_pls = pls_fit(theta, y, 3)
-        sparse_pls = sparse_component_fit(theta, y, 3, 0.0, KIND_SPARSE_PLS)
+        sparse_pls = sparse_component_fit(theta, y, 3, 0.0)
         np.testing.assert_array_equal(sparse_pls, dense_pls)
     rng = np.random.default_rng(10)
     theta = rng.standard_normal((120, 16))

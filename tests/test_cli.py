@@ -471,6 +471,8 @@ class TestExitCodes:
             (["cv", "--method", "wcr", "--lambda-grid", "0,2.5"], "lambda"),
             (["cv", "--method", "wnet", "--n-lambda", "2", "--q-grid", "2"], "q"),
             (["cv", "--method", "wpls", "--n-lambda", "2", "--tau-grid", "0.1"], "tau"),
+            (["fit", "--method", "wcr", "--q", "4", "--tau", "0.5"], "tau"),
+            (["cv", "--method", "wcr", "--tau-grid", "0,0.1"], "tau"),
         ],
     )
     def test_ignored_parameter_is_2(self, tmp_path, capsys, flags, parameter):
@@ -482,6 +484,7 @@ class TestExitCodes:
         assert main(flags + ["--data", train, "--j0", "2", "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("wavelogit: error: ") and "takes no " in err
+        assert err.count("\n") == 1
         assert f"got {parameter}=" in err
         assert sorted(tmp_path.iterdir()) == sorted(map(Path, (train, test)))
 
@@ -552,8 +555,7 @@ README_SELECTIONS = [
     ),
     (
         ["--method", "wcr", "--q-grid", "1,2"],
-        "selected wcr: q=1, tau=0.0540869 (5-fold CV AUC = 0.656 over 6 "
-        "configurations)",
+        "selected wcr: q=2 (5-fold CV AUC = 0.522667 over 2 configurations)",
     ),
 ]
 
@@ -587,26 +589,25 @@ class _GridBuilt(Exception):
     pass
 
 
-@pytest.mark.parametrize("method, kind", [("wcr", "sparse_pca"), ("wls", "sparse_pls")])
-def test_tau_grid_fits_one_dense_reduction(tmp_path, monkeypatch, readme_train, method, kind):
-    """The default tau grid of every q comes from one tau = 0 reduction of
+def test_tau_grid_fits_one_dense_reduction(tmp_path, monkeypatch, readme_train):
+    """wls's default tau grid of every q comes from one tau = 0 reduction of
     the full data, fit at the largest q (16), not one per q."""
     fits = []
     real_fit = penalized.sparse_component_fit
 
-    def counting_fit(theta, labels, q, sparsity, kind):
-        fits.append((theta.shape[0], q, sparsity, kind))
-        return real_fit(theta, labels, q, sparsity, kind)
+    def counting_fit(theta, labels, q, sparsity):
+        fits.append((theta.shape[0], q, sparsity))
+        return real_fit(theta, labels, q, sparsity)
 
     def stop(data, grid, folds):
         raise _GridBuilt(grid)
 
     monkeypatch.setattr(penalized, "sparse_component_fit", counting_fit)
     monkeypatch.setattr(cli, "cross_validate", stop)
-    args = ["cv", "--data", readme_train, "--method", method, "--out", str(tmp_path / "m.json")]
+    args = ["cv", "--data", readme_train, "--method", "wls", "--out", str(tmp_path / "m.json")]
     with pytest.raises(_GridBuilt) as info:
         main(args)
-    assert fits == [(150, 16, 0.0, kind)]
+    assert fits == [(150, 16, 0.0)]
     grid = info.value.args[0]
     assert [config.q for config in grid] == [q for q in (1, 2, 4, 8, 16) for _ in range(3)]
     assert [config.tau > 0.0 for config in grid] == [False, True, True] * 5
@@ -625,12 +626,24 @@ def test_tau_grid_fits_one_dense_reduction(tmp_path, monkeypatch, readme_train, 
     ids=["zero", "negative", "zero-after-valid", "above-limit", "above-limit-after-valid"],
 )
 def test_invalid_q_grid_entry_is_2(tmp_path, capsys, readme_train, method, q_grid, message):
-    """A q that the shared tau = 0 reduction cannot serve fails as a fit at
-    that q alone would, without slicing an empty or wrapped-around block
-    of loadings."""
+    """A q that the shared tau = 0 reduction of wls's tau grid cannot serve
+    fails as a fit at that q alone would, without slicing an empty or
+    wrapped-around block of loadings.  wcr builds no tau grid, so a q above
+    the limit fails as a grid point, as wpcr's does; q < 1 fails in FitConfig."""
     out = str(tmp_path / "m.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["cv", "--data", readme_train, "--method", method,
                      f"--q-grid={q_grid}", "--out", out])
-    assert (code, capsys.readouterr().err) == (2, f"wavelogit: error: {message.format(method)}\n")
+    captured = capsys.readouterr()
+    if method == "wcr" and q_grid == "150":
+        assert (code, captured.err) == (
+            3, "wavelogit: numerical error: every grid point failed or was undefined\n"
+        )
+        assert not os.path.exists(out)
+    elif method == "wcr" and q_grid == "16,500":
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("selected wcr: q=16 (")
+        assert captured.out.splitlines()[0].endswith(" over 2 configurations, 1 of 2 failed)")
+    else:
+        assert (code, captured.err) == (2, f"wavelogit: error: {message.format(method)}\n")

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wavelogit.cli import main
 from wavelogit.dataio import (
     CurveDataset,
     _dataset_blocks,
@@ -380,18 +381,28 @@ class TestModelFile:
         with pytest.raises(ModelFileError):
             load_model(path)
 
-    def test_ignored_parameter_refused(self, tmp_path):
-        """An unpenalized wcr model that records a nonzero lambda does not load."""
-        model, _ = fitted_model(estimator="wcr", q=2)
-        path = str(tmp_path / "m.json")
-        save_model(model, path)
-        doc = json.loads(Path(path).read_text())
-        assert doc["format_version"] == 2 and doc["lambda"] == "0"
-        doc["lambda"] = "0.5"
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(ModelFileError, match="lambda"):
-            load_model(path)
+    def test_ignored_parameter_refused(self, tmp_path, capsys):
+        """A wcr model that records a nonzero lambda does not load, nor does
+        one that records a loading threshold, as earlier builds of sparse
+        PCA wrote; predict on it exits 2 and writes nothing."""
+        model, dataset = fitted_model(estimator="wcr", q=2)
+        path, data_path = str(tmp_path / "m.json"), str(tmp_path / "d.csv")
+        out = tmp_path / "p.csv"
+        save_dataset(dataset, data_path)
+        for field, value in (("lambda", "0.5"), ("tau", "0.05")):
+            save_model(model, path)
+            doc = json.loads(Path(path).read_text())
+            assert doc["format_version"] == 2 and doc[field] == "0"
+            doc[field] = value
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with pytest.raises(ModelFileError, match=f"takes no {field}, got {field}={value}"):
+                load_model(path)
+            capsys.readouterr()
+            assert main(["predict", "--model", path, "--data", data_path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("wavelogit: error: ") and f"takes no {field}" in err
+            assert not out.exists()
 
     def test_not_json_refused(self, tmp_path):
         path = str(tmp_path / "m.json")

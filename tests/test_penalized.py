@@ -256,11 +256,11 @@ class TestWnetReadmePath:
 
 
 # sha256 of reduced fits on the README set: every PenalizedSolution field of
-# the wpcr/wpls ADMM fits at four (q, lambda) points, and of the wcr/wls
-# Newton fits at q = 4, tau = 0 and 0.05.  A solver change that moves a bit
-# on purpose updates them and says why.
+# the wpcr/wpls ADMM fits at four (q, lambda) points, and of the Newton fits
+# at q = 4 of wcr and of wls at tau = 0 and 0.05.  A solver change that moves
+# a bit on purpose updates them and says why.
 README_ADMM_SHA256 = "aaa64dd08bea9fda22d27e0c5d766f9d4197764ef167e25ab02c8e35fdc466fe"
-README_NEWTON_SHA256 = "4e634dab9a88adacc0b44f39193edcc06013ef0152b6b41d6e23bfda747ec31e"
+README_NEWTON_SHA256 = "25f1c25be0700f5bfb0cfd56d471ef10911fe7a8d7f7f910835e35e78fb625e2"
 
 
 def solutions_sha256(solutions):
@@ -284,11 +284,10 @@ class TestReducedReadmeFits:
 
     def test_newton_bits_are_pinned(self, readme_set):
         fits = []
-        for estimator in ("wcr", "wls"):
-            for tau in (0.0, 0.05):
-                config = FitConfig(estimator, q=4, tau=tau)
-                loadings = build_reduction(readme_set, config)
-                fits.append(fit_reduced_unpenalized(readme_set, loadings, config))
+        for estimator, tau in (("wcr", 0.0), ("wls", 0.0), ("wls", 0.05)):
+            config = FitConfig(estimator, q=4, tau=tau)
+            loadings = build_reduction(readme_set, config)
+            fits.append(fit_reduced_unpenalized(readme_set, loadings, config))
         assert solutions_sha256(fits) == README_NEWTON_SHA256
 
 
@@ -423,7 +422,7 @@ class TestReducedAdmmConvergence:
 
 class TestReducedUnpenalized:
     def test_single_component_equals_univariate_logistic(self):
-        """When the sparse loading is exactly e_1 the fit reduces to a 1-D
+        """When the sparse PLS loading is exactly e_1 the fit reduces to a 1-D
         logistic regression on the first coordinate."""
         rng = np.random.default_rng(16)
         n, d = 120, 8
@@ -432,7 +431,7 @@ class TestReducedUnpenalized:
         y = (rng.random(n) < link_logistic(0.9 * theta[:, 0] / 8.0)).astype(float)
         data = LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 1, d))
 
-        config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
+        config = FitConfig(estimator="wls", lam=0.0, q=1, tau=0.9)
         loadings = build_reduction(data, config)
         assert np.count_nonzero(loadings[:, 0]) == 1
         assert abs(abs(loadings[0, 0]) - 1.0) <= 1e-12
@@ -473,7 +472,7 @@ class TestReducedUnpenalized:
         theta = rng.standard_normal((n, d))
         theta[:, 0] *= 8.0
         y = (theta[:, 0] > 0).astype(float)  # perfectly separable
-        config = FitConfig(estimator="wcr", lam=0.0, q=1, tau=0.9)
+        config = FitConfig(estimator="wls", lam=0.0, q=1, tau=0.9)
         loadings = build_reduction(
             LabeledCoefficients(theta=theta, labels=y, basis=make_basis("db4", 1, d)), config
         )
@@ -484,8 +483,8 @@ class TestReducedUnpenalized:
 
     @pytest.mark.parametrize("estimator, dense_fit", [("wcr", "pca"), ("wls", "pls")])
     def test_dense_loadings_equal_the_tau_zero_fit(self, estimator, dense_fit):
-        """At tau = 0 a sparse reduction is the dense one, so the unpenalized
-        fit takes dense PCA/PLS loadings and gives the tau = 0 fit bit for bit."""
+        """wcr fits in the dense PCA reduction and wls at tau = 0 in the dense
+        PLS one, so each gives the fit on those loadings bit for bit."""
         rng = np.random.default_rng(20)
         data = random_instance(rng, 60, 8, j0=1)
         q = 2
@@ -504,7 +503,7 @@ class TestReducedUnpenalized:
     def test_sparse_loadings_give_exact_detail_zeros(self):
         rng = np.random.default_rng(21)
         data = random_instance(rng, 100, 16)
-        config = FitConfig(estimator="wcr", lam=0.0, q=2, tau=0.5)
+        config = FitConfig(estimator="wls", lam=0.0, q=2, tau=0.3)
         loadings = build_reduction(data, config)
         sol = fit_estimator(data, config, loadings=loadings)
         detail = sol.omega[data.basis.n_scale :]
@@ -590,7 +589,7 @@ class TestFitConfig:
         with pytest.raises(DataError):
             FitConfig(estimator="wnet", lam=bad)
         with pytest.raises(DataError):
-            FitConfig(estimator="wcr", q=2, tau=bad)
+            FitConfig(estimator="wls", q=2, tau=bad)
 
     def test_wnet_ignores_q(self):
         config = FitConfig(estimator="wnet", lam=0.5)
@@ -633,7 +632,7 @@ class TestFitConfig:
         "wnet": {"lam"},
         "wpcr": {"q", "lam"},
         "wpls": {"q", "lam"},
-        "wcr": {"q", "tau"},
+        "wcr": {"q"},
         "wls": {"q", "tau"},
     }
 
@@ -655,6 +654,6 @@ class TestFitConfig:
 
     def test_numpy_scalars_accepted(self):
         config = FitConfig(
-            estimator="wcr", lam=np.float64(0.0), q=2, tau=np.float32(0.5), max_iter=np.int64(7)
+            estimator="wls", lam=np.float64(0.0), q=2, tau=np.float32(0.5), max_iter=np.int64(7)
         )
         assert config.max_iter == 7 and type(config.max_iter) is int

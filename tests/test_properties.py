@@ -30,7 +30,7 @@ from wavelogit.exceptions import DataError, NumericalError, ParseError
 from wavelogit.metrics import auc
 from wavelogit.model import FittedModel, model_from_fit
 from wavelogit.penalized import ESTIMATORS, FitConfig, build_reduction, fit_estimator
-from wavelogit.reduce import KIND_SPARSE_PCA, KIND_SPARSE_PLS, soft_threshold, sparse_component_fit
+from wavelogit.reduce import pca_fit, soft_threshold, sparse_component_fit
 from wavelogit.select import make_folds
 from wavelogit.wavelet import FILTERS, dwt_forward, dwt_inverse, make_basis
 
@@ -125,14 +125,14 @@ class TestSoftThresholdProperties:
 class TestSparseReductionProperties:
     @fixed(80)
     @given(
-        st.sampled_from([KIND_SPARSE_PCA, KIND_SPARSE_PLS]),
+        st.sampled_from(["pca", "sparse_pls"]),
         st.integers(0, 2**32 - 1),
         st.integers(4, 30),
         st.integers(2, 24),
         st.floats(1e-3, 0.9),
         st.data(),
     )
-    def test_leading_equals_fresh_fit(self, kind, seed, n, d, tau, data):
+    def test_leading_equals_fresh_fit(self, reduction, seed, n, d, tau, data):
         """Components are built in sequence, so the fit at q_max sliced to q
         is the fit at q bit for bit, and a fit that fails at q fails at q_max.
         Every fitted column has unit norm."""
@@ -144,7 +144,9 @@ class TestSparseReductionProperties:
 
         def fit(components):
             try:
-                return sparse_component_fit(theta, labels, components, tau, kind)
+                if reduction == "pca":
+                    return pca_fit(theta, components)
+                return sparse_component_fit(theta, labels, components, tau)
             except (DataError, NumericalError) as exc:
                 return type(exc)
 
@@ -389,7 +391,7 @@ class TestRealFields:
 
     def model(self, omega):
         return FittedModel(
-            config=FitConfig(estimator="wcr", q=2, tau=np.float32(0.1)),
+            config=FitConfig(estimator="wls", q=2, tau=np.float32(0.1)),
             basis=make_basis("db4", 2, 16),
             intercept=1e22,
             omega=omega,
@@ -402,7 +404,7 @@ class TestRealFields:
         path = tmp_path / "m.json"
         save_model(self.model(omega), str(path))
         doc = {
-            "d": 16, "estimator": "wcr", "family": "db4", "format_version": 2,
+            "d": 16, "estimator": "wls", "family": "db4", "format_version": 2,
             "intercept": per_value(1e22), "iterations": 3, "j0": 2,
             "kkt_residual": per_value(5e-324), "lambda": per_value(0.0),
             "omega": [per_value(v) for v in omega], "q": 2,

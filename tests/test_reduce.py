@@ -1,16 +1,13 @@
-"""Tests for PCA/PLS reduction and their sparse variants."""
+"""Tests for PCA, PLS and sparse PLS reduction."""
 
 import numpy as np
 import pytest
 
 from wavelogit.exceptions import DataError, RankDeficiencyError, SparsityError
-from wavelogit.reduce import (
-    KIND_SPARSE_PCA,
-    KIND_SPARSE_PLS,
-    pca_fit,
-    pls_fit,
-    sparse_component_fit,
-)
+from wavelogit.glm import LabeledCoefficients
+from wavelogit.penalized import FitConfig, build_reduction
+from wavelogit.reduce import pca_fit, pls_fit, sparse_component_fit
+from wavelogit.wavelet import make_basis
 
 from oracles import score_variances
 
@@ -153,46 +150,29 @@ class TestPlsFit:
 
 class TestSparseComponents:
     def test_tau_zero_matches_dense_pca(self):
+        """wcr and wpcr fit in the dense PCA reduction, bit for bit."""
         rng = np.random.default_rng(8)
-        theta = rng.standard_normal((30, 12)) * rng.uniform(0.5, 2.5, size=12)
+        theta = rng.standard_normal((30, 16)) * rng.uniform(0.5, 2.5, size=16)
+        data = LabeledCoefficients(
+            theta=theta, labels=planted_labels(rng, 30), basis=make_basis("db4", 2, 16)
+        )
         dense = pca_fit(theta, q=4)
-        sparse = sparse_component_fit(theta, None, q=4, sparsity=0.0, kind=KIND_SPARSE_PCA)
-        np.testing.assert_array_equal(sparse, dense)
+        for config in (FitConfig("wcr", q=4), FitConfig("wpcr", lam=0.1, q=4)):
+            np.testing.assert_array_equal(build_reduction(data, config), dense)
 
     def test_tau_zero_matches_dense_pls(self):
         rng = np.random.default_rng(9)
         theta = rng.standard_normal((40, 10))
         labels = planted_labels(rng, 40)
         dense = pls_fit(theta, labels, q=3)
-        sparse = sparse_component_fit(theta, labels, q=3, sparsity=0.0, kind=KIND_SPARSE_PLS)
+        sparse = sparse_component_fit(theta, labels, q=3, sparsity=0.0)
         np.testing.assert_array_equal(sparse, dense)
-
-    def test_single_active_coordinate(self):
-        rng = np.random.default_rng(10)
-        n = 50
-        theta = np.zeros((n, 6))
-        theta[:, 2] = rng.standard_normal(n) * 5.0
-        loadings = sparse_component_fit(theta, None, q=1, sparsity=0.5, kind=KIND_SPARSE_PCA)
-        np.testing.assert_allclose(np.abs(loadings[:, 0]), np.eye(6)[2], atol=1e-10)
-
-    def test_planted_support_recovered(self):
-        """With tau sized to keep ~4 coordinates, most mass sits on the truth."""
-        rng = np.random.default_rng(11)
-        n, d = 40, 16
-        support = np.array([1, 5, 9, 13])
-        factor = np.zeros(d)
-        factor[support] = np.array([1.0, -0.8, 0.9, 0.7])
-        scores = rng.standard_normal(n) * 3.0
-        theta = np.outer(scores, factor) + 0.3 * rng.standard_normal((n, d))
-        loadings = sparse_component_fit(theta, None, q=1, sparsity=0.2, kind=KIND_SPARSE_PCA)
-        v = loadings[:, 0]
-        assert np.sum(v[support] ** 2) >= 0.7
 
     def test_too_much_sparsity_raises(self):
         rng = np.random.default_rng(12)
         theta = rng.standard_normal((20, 5))
         with pytest.raises(SparsityError, match="every coordinate of component 1$"):
-            sparse_component_fit(theta, None, q=1, sparsity=1e6, kind=KIND_SPARSE_PCA)
+            sparse_component_fit(theta, planted_labels(rng, 20), q=1, sparsity=1e6)
 
     def test_sparse_pls_thresholds_covariance_vector(self):
         """Component 1 soft-thresholds the unit-normalized covariance vector."""
@@ -200,7 +180,7 @@ class TestSparseComponents:
         theta = rng.standard_normal((60, 8))
         labels = planted_labels(rng, 60)
         tau = 0.15
-        loadings = sparse_component_fit(theta, labels, q=1, sparsity=tau, kind=KIND_SPARSE_PLS)
+        loadings = sparse_component_fit(theta, labels, q=1, sparsity=tau)
         centered = theta - theta.mean(axis=0)
         w = centered.T @ (labels - labels.mean())
         w /= np.linalg.norm(w)
@@ -209,17 +189,12 @@ class TestSparseComponents:
         assert np.count_nonzero(expected) < 8  # the threshold actually bites
         np.testing.assert_allclose(loadings[:, 0], expected, atol=1e-10)
 
-    def test_bad_kind_rejected(self):
-        with pytest.raises(DataError):
-            sparse_component_fit(np.zeros((4, 3)), None, q=1, sparsity=0.0, kind="pca")
-
-    @pytest.mark.parametrize("kind", [KIND_SPARSE_PCA, KIND_SPARSE_PLS])
     @pytest.mark.parametrize("sparsity", [-0.1, float("nan")])
-    def test_bad_sparsity_rejected(self, kind, sparsity):
+    def test_bad_sparsity_rejected(self, sparsity):
         rng = np.random.default_rng(14)
         theta = rng.standard_normal((10, 4))
         with pytest.raises(DataError, match="sparsity threshold must be >= 0"):
-            sparse_component_fit(theta, planted_labels(rng, 10), q=2, sparsity=sparsity, kind=kind)
+            sparse_component_fit(theta, planted_labels(rng, 10), q=2, sparsity=sparsity)
 
 
 class TestReduceExpand:

@@ -34,11 +34,14 @@ from wavelogit.wavelet import make_basis
 
 def shared_grid(estimator, qs):
     """Configs of one estimator over ``qs``: two penalties for wpcr/wpls,
-    a dense and a sparse reduction (tau 0 and 0.1) for wcr/wls."""
-    if estimator in ("wpcr", "wpls"):
-        pairs = ((0.01, 0.0), (0.3, 0.0))
-    else:
-        pairs = ((0.0, 0.0), (0.0, 0.1))
+    a dense and a sparse reduction (tau 0 and 0.1) for wls, and the dense
+    PCA reduction for wcr."""
+    pairs = {
+        "wpcr": ((0.01, 0.0), (0.3, 0.0)),
+        "wpls": ((0.01, 0.0), (0.3, 0.0)),
+        "wcr": ((0.0, 0.0),),
+        "wls": ((0.0, 0.0), (0.0, 0.1)),
+    }[estimator]
     return [FitConfig(estimator=estimator, lam=lam, q=q, tau=tau) for q in qs for lam, tau in pairs]
 
 
@@ -408,13 +411,13 @@ class TestOneReductionPerDataSet:
     @pytest.fixture
     def fits(self, monkeypatch):
         fits = []
-        real_fit = penalized.sparse_component_fit
+        real_fit = penalized.pca_fit
 
-        def counting_fit(theta, labels, q, sparsity, kind):
+        def counting_fit(theta, q):
             fits.append((theta.shape[0], q))
-            return real_fit(theta, labels, q, sparsity, kind)
+            return real_fit(theta, q)
 
-        monkeypatch.setattr(penalized, "sparse_component_fit", counting_fit)
+        monkeypatch.setattr(penalized, "pca_fit", counting_fit)
         return fits
 
     def test_aicc_builds_one(self, fits):
@@ -453,10 +456,9 @@ class TestDefaultGrids:
     def test_tau_grid_shape(self):
         rng = np.random.default_rng(19)
         data = planted_data(rng, 50)
-        for estimator in ("wcr", "wls"):
-            taus = default_tau_grid(build_reduction(data, FitConfig(estimator, q=4)))
-            assert len(taus) == 3 and taus[0] == 0.0
-            assert abs(taus[2] - 2.0 * taus[1]) <= 1e-15
+        taus = default_tau_grid(build_reduction(data, FitConfig("wls", q=4)))
+        assert len(taus) == 3 and taus[0] == 0.0
+        assert abs(taus[2] - 2.0 * taus[1]) <= 1e-15
 
     @pytest.mark.parametrize("estimator", ["wcr", "wls"])
     def test_tau_grid_from_a_slice_equals_a_fresh_fit(self, estimator):
