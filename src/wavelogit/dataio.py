@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import DataError, DimensionError, ModelFileError, ParseError
 from .glm import LabeledCoefficients
 from .model import FittedModel
-from .penalized import FitConfig
+from .penalized import FitConfig, _UntakenParameter
 from .wavelet import WaveletBasis, _block_bounds, _is_power_of_two, dwt_forward
 
 # version 1 files also hold a reduced fit's "center" and "loadings"; loading
@@ -317,6 +317,10 @@ def load_model(path: str) -> FittedModel:
         )
     except ModelFileError:
         raise
+    except _UntakenParameter as exc:
+        raise ModelFileError(
+            f"model file {path} records a fit this build does not make: {exc}; refit the model"
+        ) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"model file {path} is corrupted: {exc}") from None
 

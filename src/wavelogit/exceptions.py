@@ -26,7 +26,8 @@ class DimensionError(DataError):
 
 
 class ModelFileError(DataError):
-    """A model file is corrupted or carries an unsupported format version."""
+    """A model file is corrupted, carries an unsupported format version or
+    records a fit this build does not make."""
 
 
 class NumericalError(WavelogitError, RuntimeError):

@@ -59,6 +59,10 @@ _RHO_STEP = 2.0
 _RELAXATION = 1.6
 
 
+class _UntakenParameter(DataError):
+    """A tuning parameter is set that the estimator does not take."""
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Estimator choice plus its tuning parameters and solver limits.
@@ -104,19 +108,20 @@ class FitConfig:
         for name, label in (("tau", "tau"), ("lam", "lambda")):
             value = getattr(self, name)
             if name != tuning and value != 0:
-                raise DataError(
+                raise _UntakenParameter(
                     f"estimator {self.estimator!r} takes no {label}, got {label}={value}"
                 )
 
 
 @dataclass(frozen=True)
 class PenalizedSolution:
-    """Fitted coefficients with solver diagnostics."""
+    """Fitted coefficients and their optimality certificate, ``kkt_residual``:
+    the l1 stationarity violation (wnet), the larger ADMM residual
+    (wpcr/wpls) or the gradient sup-norm (wcr/wls)."""
 
     omega: np.ndarray
     intercept: float
     gamma: np.ndarray | None
-    objective_trace: np.ndarray
     kkt_residual: float
     nonzero_detail_count: int
     iterations: int
@@ -209,7 +214,6 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
     t_k = 1.0
     eta = aug @ beta
     obj = _nll_from_eta(eta, y) + lam * np.sum(np.abs(beta[free:]))
-    trace = [obj]
     kkt = np.inf
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
@@ -225,7 +229,6 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
         t_k = t_next
         rel_change = abs(obj - cand_obj) / max(1.0, abs(obj))
         beta, eta, obj = cand, cand_eta, cand_obj
-        trace.append(obj)
         kkt = _kkt_residual(aug.T @ (link_logistic(eta) - y), beta, lam, free)
         if kkt <= 1e-5 and rel_change <= config.tol:
             break
@@ -240,7 +243,6 @@ def fit_wnet(data: LabeledCoefficients, config: FitConfig) -> PenalizedSolution:
         omega=omega,
         intercept=float(beta[0]),
         gamma=None,
-        objective_trace=np.asarray(trace),
         kkt_residual=kkt,
         nonzero_detail_count=int(np.count_nonzero(beta[free:])),
         iterations=iterations,
@@ -277,16 +279,9 @@ def fit_reduced_penalized(
     d_map = loadings[data.basis.n_scale :]  # maps gamma to the penalized block
     gram = d_map.T @ d_map
     rho = max(lam, 1.0)
-
-    def objective(coef):
-        pen_block = d_map @ coef[1:]
-        return _nll_from_eta(design @ coef, y) + lam * np.sum(np.abs(pen_block))
-
     coef = np.zeros(q + 1)
     z = np.zeros(d_map.shape[0])
     dual = np.zeros_like(z)
-    trace = [objective(coef)]
-    best = trace[0]
     eps_primal = 1e-6 * np.sqrt(z.size)
     eps_dual = 1e-6 * np.sqrt(q + 1)
     iterations = 0
@@ -303,8 +298,6 @@ def fit_reduced_penalized(
         dual = dual + relaxed - z_new
         z = z_new
         primal_res = np.linalg.norm(pen_block - z)
-        trace.append(min(best, objective(coef)))
-        best = trace[-1]
         if primal_res <= eps_primal and dual_res <= eps_dual:
             converged = True
             break
@@ -330,7 +323,6 @@ def fit_reduced_penalized(
         omega=omega,
         intercept=float(coef[0]),
         gamma=gamma,
-        objective_trace=np.asarray(trace),
         kkt_residual=float(max(primal_res, dual_res)),
         nonzero_detail_count=int(np.count_nonzero(z)),
         iterations=iterations,
@@ -343,18 +335,16 @@ def fit_reduced_unpenalized(
     """Maximum-likelihood fit of gamma on a reduced design by Newton."""
     loadings = _check_loadings(data, loadings)
     aug = _with_intercept(data.theta @ loadings)
-    nll_start = _nll_from_eta(np.zeros(data.n), data.labels)
     coef, iterations = _newton(
         aug, data.labels, np.zeros(aug.shape[1]), 200, 1e-8, separation_bound=1e3
     )
     gamma, intercept = coef[1:], float(coef[0])
     omega = loadings @ gamma
-    nll_end, grad = _nll_grad(aug, data.labels, coef)
+    grad = aug.T @ (link_logistic(aug @ coef) - data.labels)
     return PenalizedSolution(
         omega=omega,
         intercept=intercept,
         gamma=gamma,
-        objective_trace=np.asarray([nll_start, nll_end]),
         kkt_residual=float(np.max(np.abs(grad))),
         nonzero_detail_count=int(np.count_nonzero(omega[data.basis.n_scale :])),
         iterations=iterations,

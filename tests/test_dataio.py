@@ -384,7 +384,8 @@ class TestModelFile:
     def test_ignored_parameter_refused(self, tmp_path, capsys):
         """A wcr model that records a nonzero lambda does not load, nor does
         one that records a loading threshold, as earlier builds of sparse
-        PCA wrote; predict on it exits 2 and writes nothing."""
+        PCA wrote; the error says to refit rather than calling the file
+        corrupted, and predict on it exits 2 and writes nothing."""
         model, dataset = fitted_model(estimator="wcr", q=2)
         path, data_path = str(tmp_path / "m.json"), str(tmp_path / "d.csv")
         out = tmp_path / "p.csv"
@@ -396,12 +397,14 @@ class TestModelFile:
             doc[field] = value
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-            with pytest.raises(ModelFileError, match=f"takes no {field}, got {field}={value}"):
+            with pytest.raises(ModelFileError, match=f"takes no {field}, got {field}={value}") as info:
                 load_model(path)
+            assert "refit" in str(info.value) and "corrupted" not in str(info.value)
             capsys.readouterr()
             assert main(["predict", "--model", path, "--data", data_path, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("wavelogit: error: ") and f"takes no {field}" in err
+            assert "refit" in err and "corrupted" not in err
             assert not out.exists()
 
     def test_not_json_refused(self, tmp_path):

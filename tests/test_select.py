@@ -293,7 +293,6 @@ class TestAicc:
             omega=np.asarray(omega, dtype=float),
             intercept=intercept,
             gamma=None if gamma is None else np.asarray(gamma, dtype=float),
-            objective_trace=np.array([0.0]),
             kkt_residual=0.0,
             nonzero_detail_count=0,
             iterations=0,
